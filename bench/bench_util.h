@@ -197,19 +197,6 @@ struct CellSpec {
   // BasicSkipTrie<Bytes16Traits> via an order-preserving spread into the
   // 120-bit encoded space, so the cell delta is pure W-widening cost.
   std::string key_kind = "u64";
-  // Leaf-chunk hint index on/off (v7 axis, DESIGN.md §7).  Default on — the
-  // shipped Config default; older files join as leaf_chunking = true.
-  bool leaf_chunking = true;
-  // Adaptive tower heights on/off (v8 axis, DESIGN.md §8).  Default on —
-  // the shipped Config default.  Pre-v8 files join as false: adaptation did
-  // not exist then, so off is the behavior-accurate fill (suites set it to
-  // false explicitly on baseline structures, which have no height policy).
-  bool adaptive_heights = true;
-  // Finger cache on/off.  Report-only, not a join axis: it is constant
-  // within every section — only toplevel_ablation turns it off, so the
-  // finger cannot short-circuit the descents whose hop delta that section
-  // measures (DESIGN.md §8.2).
-  bool use_finger = true;
   uint32_t repeat = 0;            // repeat index within identical specs
   WorkloadConfig wc;
 };
@@ -238,15 +225,10 @@ class Bytes16WorkloadAdapter {
   static constexpr uint32_t kSpread = 56;
   static constexpr uint32_t kUniverseBits = 64 + kSpread;
 
-  explicit Bytes16WorkloadAdapter(bool leaf_chunking = true,
-                                  bool adaptive_heights = true,
-                                  bool use_finger = true)
-      : trie_([&] {
+  Bytes16WorkloadAdapter()
+      : trie_([] {
           Config c;
           c.universe_bits = kUniverseBits;
-          c.leaf_chunking = leaf_chunking;
-          c.adaptive_heights = adaptive_heights;
-          c.use_finger = use_finger;
           return c;
         }()) {}
 
@@ -269,8 +251,7 @@ class Bytes16WorkloadAdapter {
 inline CellResult run_cell(const CellSpec& spec) {
   CellResult res;
   if (spec.structure == "skiptrie" && spec.key_kind == "bytes16") {
-    Bytes16WorkloadAdapter a(spec.leaf_chunking, spec.adaptive_heights,
-                             spec.use_finger);
+    Bytes16WorkloadAdapter a;
     res.r = run_workload(a, spec.wc);
     // The wide trie's StructureStats is a distinct nested type (deeper
     // level_counts); copy the scalar fields the emitter reports.
@@ -285,15 +266,10 @@ inline CellResult run_cell(const CellSpec& spec) {
     res.stats.hash_buckets = st.hash_buckets;
     res.stats.hash_dummies = st.hash_dummies;
     res.stats.hash_load_factor = st.hash_load_factor;
-    res.stats.leaf_chunks = st.leaf_chunks;
-    res.stats.avg_occupancy = st.avg_occupancy;
     res.has_structure_stats = true;
   } else if (spec.structure == "skiptrie") {
     Config cfg;
     cfg.universe_bits = spec.universe_bits;
-    cfg.leaf_chunking = spec.leaf_chunking;
-    cfg.adaptive_heights = spec.adaptive_heights;
-    cfg.use_finger = spec.use_finger;
     SkipTrie t(cfg);
     res.r = run_workload(t, spec.wc);
     res.stats = t.structure_stats();  // quiescent: workers joined
@@ -301,9 +277,6 @@ inline CellResult run_cell(const CellSpec& spec) {
   } else if (spec.structure == "sharded") {
     Config cfg;
     cfg.universe_bits = spec.universe_bits;
-    cfg.leaf_chunking = spec.leaf_chunking;
-    cfg.adaptive_heights = spec.adaptive_heights;
-    cfg.use_finger = spec.use_finger;
     ShardedEngine e(spec.shards, cfg);
     res.r = run_workload(e, spec.wc);
     res.stats = e.structure_stats();  // aggregated across shards
@@ -383,32 +356,22 @@ inline std::string git_rev(const Args& args) {
 //       streams through BasicSkipTrie<Bytes16Traits> (128-bit ikeys) so the
 //       u64-vs-bytes16 cell delta isolates W-widening cost.  Purely
 //       additive again.
-//   v7  cache-conscious leaf chunks (PR 8, DESIGN.md §7): cells gain the
-//       `leaf_chunking` axis (default true — older files join as
-//       leaf_chunking = true and lack the new counters entirely, so
-//       pre-v7 joins treat them as report-only) and
-//       steps.{bytes_touched, chunk_scans, chunk_splits, chunk_merges}
-//       (DESIGN.md §7.4; bytes_touched models list+leaf cache-line traffic,
-//       all four are event counters outside search/total steps);
-//       structure_stats gains {leaf_chunks, avg_occupancy}; cells gain a
-//       `leaf_checkpoints` object (25/50/75% mid-run samples + final) and a
-//       new "leaf_ablation" section sweeps chunking on/off.  Purely
-//       additive again.
-//   v8  distribution-adaptive tower heights (DESIGN.md §8): cells gain the
-//       `adaptive_heights` axis (default false on join — pre-v8 files ran
-//       without the policy, so off is the behavior-accurate fill) and the
-//       `zipf_drift` axis (default false — the v8 hot-set drift mode), plus
-//       report-only `use_finger`; steps gains {adapt_checks, promotions,
-//       demotions} (DESIGN.md §8.4; event counters outside search/total
-//       steps and excluded from rate gating — policy activity scales with
-//       skew, not with code quality); structure_stats gains `level_counts`
-//       (the tower-height histogram the policy reshapes); cells gain a
-//       `structure_checkpoints` object (25/50/75% mid-run samples + final)
-//       and a new "toplevel_ablation" section sweeps adaptation on/off on
-//       matched zipf/uniform cells.  Purely additive again.
+//   v7  leaf-chunk hint index: an ablation axis, modeled cache-line
+//       counters, chunk structure stats and mid-run chunk checkpoints.
+//   v8  adaptive tower heights: an ablation axis, a hot-set drift axis,
+//       policy counters, structure_stats.level_counts (the tower-height
+//       histogram) and `structure_checkpoints` (25/50/75% mid-run samples
+//       + final).
+//   v9  both layers deleted (DESIGN.md §5.5): cells lose the v7/v8 axes,
+//       the report-only `use_finger` field and `leaf_checkpoints`; steps
+//       lose the chunk and policy counters (bytes_touched stays);
+//       structure_stats loses the chunk fields; structure_checkpoints lose
+//       the promotion/demotion totals; the "leaf_ablation" and
+//       "toplevel_ablation" sections and their summaries are gone.  Cells
+//       join older files on the remaining axes.
 inline void write_suite_header(JsonWriter& j, const char* suite,
                                const std::string& rev, bool quick) {
-  j.kv("schema_version", 8);
+  j.kv("schema_version", 9);
   j.kv("suite", suite);
   j.kv("git_rev", rev);
   j.kv("timestamp_utc", iso8601_utc_now());
@@ -460,9 +423,6 @@ inline void write_step_counters(JsonWriter& j, const StepCounters& s) {
   j.kv("trie_level_ops", s.trie_level_ops);
   j.kv("retired_nodes", s.retired_nodes);
   j.kv("bytes_touched", s.bytes_touched);
-  j.kv("chunk_scans", s.chunk_scans);
-  j.kv("chunk_splits", s.chunk_splits);
-  j.kv("chunk_merges", s.chunk_merges);
   j.kv("cursor_reuses", s.cursor_reuses);
   j.kv("cursor_redescends", s.cursor_redescends);
   j.kv("batch_ops", s.batch_ops);
@@ -473,16 +433,12 @@ inline void write_step_counters(JsonWriter& j, const StepCounters& s) {
   j.kv("queue_full_waits", s.queue_full_waits);
   j.kv("queue_depth_sum", s.queue_depth_sum);
   j.kv("queue_wait_ns", s.queue_wait_ns);
-  j.kv("adapt_checks", s.adapt_checks);
-  j.kv("promotions", s.promotions);
-  j.kv("demotions", s.demotions);
   j.end_object();
 }
 
 // One record per measured cell; keys stable across suites so files from two
 // revisions can be joined on (section, structure, universe_bits, threads,
-// mix, dist, batch_size, shards, key_kind, leaf_chunking, adaptive_heights,
-// zipf_drift, repeat).
+// mix, dist, batch_size, shards, key_kind, repeat).
 inline void write_cell(JsonWriter& j, const CellSpec& spec,
                        const CellResult& res) {
   const WorkloadResult& r = res.r;
@@ -496,10 +452,6 @@ inline void write_cell(JsonWriter& j, const CellSpec& spec,
   j.kv("batch_size", spec.wc.batch_size);
   j.kv("shards", spec.shards);
   j.kv("key_kind", spec.key_kind);
-  j.kv("leaf_chunking", spec.leaf_chunking);
-  j.kv("adaptive_heights", spec.adaptive_heights);
-  j.kv("zipf_drift", spec.wc.zipf_drift);
-  j.kv("use_finger", spec.use_finger);
   j.kv("key_space", spec.wc.key_space);
   j.kv("prefill", spec.wc.prefill);
   j.kv("seed", spec.wc.seed);
@@ -545,12 +497,10 @@ inline void write_cell(JsonWriter& j, const CellSpec& spec,
     j.kv("hash_buckets", static_cast<uint64_t>(st.hash_buckets));
     j.kv("hash_dummies", static_cast<uint64_t>(st.hash_dummies));
     j.kv("hash_load_factor", st.hash_load_factor);
-    j.kv("leaf_chunks", static_cast<uint64_t>(st.leaf_chunks));
-    j.kv("avg_occupancy", st.avg_occupancy);
-    // Tower-height histogram (v8): level_counts[l] = towers whose current
-    // height is exactly l.  Trimmed at the highest populated level; empty
-    // for bytes16 cells (their adapter copies scalar fields only, the wide
-    // trie's histogram has a different depth).
+    // Level populations: level_counts[l] = towers reaching level l.
+    // Trimmed at the highest populated level; empty for bytes16 cells
+    // (their adapter copies scalar fields only, the wide trie's histogram
+    // has a different depth).
     size_t top_lvl = 0;
     for (size_t l = 0; l <= SkipTrie::Engine::kMaxLevels; ++l) {
       if (st.level_counts[l] != 0) top_lvl = l + 1;
@@ -562,17 +512,6 @@ inline void write_cell(JsonWriter& j, const CellSpec& spec,
     j.end_array();
     j.end_object();
   }
-  if (r.leaf.samples > 0) {
-    j.key("leaf_checkpoints").begin_object();
-    j.kv("samples", r.leaf.samples);
-    j.kv("min_chunks", r.leaf.min_chunks);
-    j.kv("max_chunks", r.leaf.max_chunks);
-    j.kv("final_chunks", r.leaf.final_chunks);
-    j.kv("min_occupancy", r.leaf.min_occupancy);
-    j.kv("max_occupancy", r.leaf.max_occupancy);
-    j.kv("final_occupancy", r.leaf.final_occupancy);
-    j.end_object();
-  }
   if (r.structure.samples > 0) {
     j.key("structure_checkpoints").begin_object();
     j.kv("samples", r.structure.samples);
@@ -580,8 +519,6 @@ inline void write_cell(JsonWriter& j, const CellSpec& spec,
     j.kv("max_top", r.structure.max_top);
     j.kv("final_top", r.structure.final_top);
     j.kv("final_keys", r.structure.final_keys);
-    j.kv("final_promotions", r.structure.final_promotions);
-    j.kv("final_demotions", r.structure.final_demotions);
     j.end_object();
   }
   if (spec.structure == "skiplist") {

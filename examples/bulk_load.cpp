@@ -10,9 +10,8 @@
 // still holds, skipping the x-fast lowest_ancestor query entirely.  The
 // example prints the cursor reuse rate and the per-key step counts against
 // a per-key-loop control — including the modeled cache-line traffic per
-// key (schema v7 bytes_touched, DESIGN.md §7.4), where the leaf-chunk
-// index shows up as fewer level-0 lines per descent — and fails (nonzero
-// exit) if the batched results ever disagree with the single-key API.
+// key (bytes_touched, DESIGN.md §5.5) — and fails (nonzero exit) if the
+// batched results ever disagree with the single-key API.
 #include <cstdio>
 #include <cstdlib>
 #include <inttypes.h>
@@ -85,7 +84,7 @@ int main() {
               static_cast<double>(load_ctl.node_hops + load_ctl.hash_probes) /
                   static_cast<double>(load.node_hops + load.hash_probes));
   std::printf("  bytes touched per key  %.0f batched vs %.0f per-key "
-              "(list+leaf lines, DESIGN.md \u00a77.4)\n",
+              "(list lines, DESIGN.md \u00a75.5)\n",
               per_key(load.bytes_touched, snapshot.size()),
               per_key(load_ctl.bytes_touched, snapshot.size()));
 
@@ -131,7 +130,7 @@ int main() {
               static_cast<double>(serve_ctl.node_hops + serve_ctl.hash_probes) /
                   static_cast<double>(serve.node_hops + serve.hash_probes));
   std::printf("  bytes touched per key  %.0f batched vs %.0f per-key "
-              "(list+leaf lines, DESIGN.md \u00a77.4)\n",
+              "(list lines, DESIGN.md \u00a75.5)\n",
               per_key(serve.bytes_touched, checked),
               per_key(serve_ctl.bytes_touched, checked));
   std::printf("bulk_load: OK\n");

@@ -7,7 +7,9 @@
 // exercises the SkipTrie at its largest universe (B = 64, log log u = 6)
 // with monotonically increasing inserts from several writers, a pattern
 // that degenerates balanced-tree rebalancing but is harmless here (no
-// rebalancing exists to degenerate — the paper's titular point).
+// rebalancing exists to degenerate — the paper's titular point).  Exits
+// nonzero when quiescent queries average more than kMaxStepsPerQuery
+// search steps.
 #include <atomic>
 #include <cstdio>
 #include <inttypes.h>
@@ -20,6 +22,10 @@
 #include "core/skiptrie.h"
 
 using namespace skiptrie;
+
+// About 10 x log log u at B = 64: the paper's depth bound with room for the
+// constant factor.  A read path that degrades toward O(n) per query trips it.
+constexpr double kMaxStepsPerQuery = 64.0;
 
 int main() {
   Config cfg;
@@ -74,13 +80,17 @@ int main() {
     if (index.predecessor(t)) found++;
   }
   const auto& c = tls_counters();
+  const double steps = static_cast<double>(c.search_steps()) / kQueries;
   std::printf("quiescent: %d queries, %.1f search steps/query "
               "(log log u = %u for B=64), %.2f hash probes/query\n",
-              kQueries,
-              static_cast<double>(c.search_steps()) / kQueries,
-              ceil_log2(64),
+              kQueries, steps, ceil_log2(64),
               static_cast<double>(c.hash_probes) / kQueries);
   std::printf("coverage: %.1f%% of query times had a reading\n",
               100.0 * static_cast<double>(found) / kQueries);
+  if (steps > kMaxStepsPerQuery) {
+    std::printf("FAIL: %.1f search steps/query exceeds %.0f\n", steps,
+                kMaxStepsPerQuery);
+    return 1;
+  }
   return 0;
 }

@@ -27,8 +27,6 @@ StepCounters& StepCounters::operator+=(const StepCounters& o) {
   retired_nodes += o.retired_nodes;
   bytes_touched += o.bytes_touched;
   chunk_scans += o.chunk_scans;
-  chunk_splits += o.chunk_splits;
-  chunk_merges += o.chunk_merges;
   cursor_reuses += o.cursor_reuses;
   cursor_redescends += o.cursor_redescends;
   batch_ops += o.batch_ops;
@@ -71,8 +69,6 @@ StepCounters StepCounters::operator-(const StepCounters& o) const {
   r.retired_nodes -= o.retired_nodes;
   r.bytes_touched -= o.bytes_touched;
   r.chunk_scans -= o.chunk_scans;
-  r.chunk_splits -= o.chunk_splits;
-  r.chunk_merges -= o.chunk_merges;
   r.cursor_reuses -= o.cursor_reuses;
   r.cursor_redescends -= o.cursor_redescends;
   r.batch_ops -= o.batch_ops;

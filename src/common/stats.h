@@ -52,19 +52,14 @@ struct StepCounters {
                                  // discarded its start hint for the top head
   uint64_t trie_level_ops = 0;   // x-fast-trie per-level update iterations
   uint64_t retired_nodes = 0;    // nodes handed to reclamation
-  // Leaf-chunk attribution (schema v7, DESIGN.md §7.4).  bytes_touched is a
-  // cache-line traffic model of the *list + leaf* layers: kCacheLine per
-  // node hop / guide-pointer follow plus the lines a chunk scan actually
-  // reads (hash-layer traffic is already a line count — hash_probes — and
-  // is kept separate so the leaf-chunking delta stays directly readable).
-  // Event/attribution counters: none of these enter search_steps()/
-  // total_steps().
-  uint64_t bytes_touched = 0;    // modeled cache-line bytes read by list/leaf
-                                 // traversal (64 per hop/back/prev step plus
-                                 // actual lines per chunk scan)
-  uint64_t chunk_scans = 0;      // leaf-chunk in-array searches performed
-  uint64_t chunk_splits = 0;     // leaf chunks split (full chunk, median cut)
-  uint64_t chunk_merges = 0;     // leaf chunks drained and unlinked
+  // Cache-line traffic model of the list layer (DESIGN.md §5.5): kCacheLine
+  // per node hop / guide-pointer follow.  Hash-layer traffic is already a
+  // line count (hash_probes) and stays separate.  Attribution only: it does
+  // not enter search_steps()/total_steps().
+  uint64_t bytes_touched = 0;
+  // Always 0: the structure has no leaf chunks.  Kept only for perfbench's
+  // per-layer report, which still reads it.
+  uint64_t chunk_scans = 0;
   // Batched-operation attribution (schema v4, DESIGN.md §5.3).  Like the
   // probe/hop attribution these count events, not shared-memory steps, and
   // do NOT enter search_steps()/total_steps().
@@ -92,16 +87,11 @@ struct StepCounters {
                                   // service_subtasks = mean depth)
   uint64_t queue_wait_ns = 0;     // ns between a subtask's enqueue and a
                                   // worker dequeuing it
-  // Adaptive-heights attribution (schema v8, DESIGN.md §8.4).  Event
-  // counters: they tally policy activity, not shared-memory search steps,
-  // and do NOT enter search_steps()/total_steps() — with adaptation off all
-  // three are zero and every other counter matches the seed exactly.
-  uint64_t adapt_checks = 0;      // sampled reads that fed the frequency
-                                  // sketch and evaluated the thresholds
-  uint64_t promotions = 0;        // towers raised above their deterministic
-                                  // draw by the policy
-  uint64_t demotions = 0;         // promoted towers swept back down to
-                                  // their deterministic draw
+  // Always 0: tower heights are the fixed deterministic draw.  Kept only
+  // for perfbench's per-layer report, which still reads them.
+  uint64_t adapt_checks = 0;
+  uint64_t promotions = 0;
+  uint64_t demotions = 0;
 
   StepCounters& operator+=(const StepCounters& o);
   StepCounters operator-(const StepCounters& o) const;
@@ -117,32 +107,20 @@ struct StepCounters {
   }
 };
 
-// Cheap, always-current leaf-chunk totals (schema v7, DESIGN.md §7.4).
-// Read from the chunk manager's atomic counters, so any thread may sample
-// them mid-run — unlike structure_stats(), which walks the structure and is
-// only meaningful at quiescence.  All zero when leaf chunking is off.
+// Always empty: the structure has no leaf chunks.  Kept only for
+// perfbench's per-layer report, which still reads it.
 struct LeafLiveStats {
-  uint64_t chunks = 0;    // live leaf chunks
-  uint64_t keys = 0;      // keys currently indexed by those chunks
-  uint32_t capacity = 0;  // key slots per chunk (traits-dependent)
-
-  double avg_occupancy() const {
-    const uint64_t slots = chunks * capacity;
-    return slots == 0 ? 0.0 : static_cast<double>(keys) / slots;
-  }
+  double avg_occupancy() const { return 0.0; }
 };
 
-// Cheap, always-current structural totals (schema v8, DESIGN.md §8.4).
-// Read from atomic counters maintained by the operation paths, so any
-// thread may sample them mid-run — the driver's checkpoint seam uses this
-// to chart adaptation speed (top-level population and promotion/demotion
-// totals per run quarter).  Approximate under races by at most the number
+// Cheap, always-current structural totals.  Read from atomic counters
+// maintained by the operation paths, so any thread may sample them mid-run
+// — unlike structure_stats(), which walks the structure and is only
+// meaningful at quiescence.  Approximate under races by at most the number
 // of in-flight operations; exact at quiescence.
 struct StructureLiveStats {
-  uint64_t keys = 0;        // current set size
-  uint64_t top_count = 0;   // towers currently reaching the top level
-  uint64_t promotions = 0;  // policy promotions since construction
-  uint64_t demotions = 0;   // policy demotions since construction
+  uint64_t keys = 0;       // current set size
+  uint64_t top_count = 0;  // towers currently reaching the top level
 };
 
 // The calling thread's counters.  Distinct threads get distinct instances.

@@ -13,7 +13,8 @@ struct Config {
   // (DESIGN.md §6; the byte-string/IPv6 codecs emit into the full 128-bit
   // universe).  The truncated skiplist gets ceil(log2(B)) + 1 levels, so a
   // key reaches the top (and the x-fast trie) with probability
-  // ~1/B = 1/log u.
+  // ~1/B = 1/log u.  The SkipTrie constructor throws std::invalid_argument
+  // for a value outside the traits' range, in every build.
   uint32_t universe_bits = 32;
 
   // Full DCSS (paper default) or the paper's plain-CAS fallback (§1): the
@@ -37,31 +38,6 @@ struct Config {
   // over the single-key operations (ablation/measurement; results are
   // identical either way).
   bool use_cursor_batching = true;
-
-  // Cache-conscious leaf chunks (DESIGN.md §7): read descents terminate in a
-  // sorted multi-key mini-array over level 0 instead of walking the low
-  // levels node by node.  Off reproduces the seed layout and step counts
-  // exactly (ablation; step_pinning_test pins its goldens with this off).
-  // The compile-time default lets CI build a chunking-off matrix leg.
-#ifdef SKIPTRIE_LEAF_CHUNKING_DEFAULT
-  bool leaf_chunking = SKIPTRIE_LEAF_CHUNKING_DEFAULT;
-#else
-  bool leaf_chunking = true;
-#endif
-
-  // Distribution-adaptive tower heights (DESIGN.md §8): a sampled frequency
-  // sketch promotes hot keys' towers through the insert-time raise path and
-  // demotes cold promoted toppers through the delete-time sweep, so a hot
-  // key's depth approaches O(1) for every thread (splay-list-style policy).
-  // Off reproduces the seed layout and step counts exactly — heights stay
-  // the pure deterministic Geometric(1/2) draw and reads never early-exit —
-  // so step_pinning_test pins its goldens with this off.  The compile-time
-  // default lets CI build an adaptation-off matrix leg.
-#ifdef SKIPTRIE_ADAPTIVE_HEIGHTS_DEFAULT
-  bool adaptive_heights = SKIPTRIE_ADAPTIVE_HEIGHTS_DEFAULT;
-#else
-  bool adaptive_heights = true;
-#endif
 
   // Slab granularity of the node arena.
   size_t arena_blocks_per_slab = 4096;

@@ -1,6 +1,8 @@
 #include "core/skiptrie.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "common/bitops.h"
 #include "common/random.h"
@@ -19,151 +21,39 @@ uint32_t BasicSkipTrie<Traits>::tower_height(Ikey x) const {
                                     engine_.top_level());
 }
 
+namespace {
+
+// Runs as cfg_'s initializer, i.e. before any member that derives its shape
+// from universe_bits (the engine's level count, the trie's prefix lengths)
+// is constructed.
+template <typename Traits>
+const Config& checked_config(const Config& cfg) {
+  if (cfg.universe_bits < 4 || cfg.universe_bits > Traits::kMaxBits) {
+    throw std::invalid_argument(
+        "Config::universe_bits = " + std::to_string(cfg.universe_bits) +
+        " is outside [4, " + std::to_string(Traits::kMaxBits) + "]");
+  }
+  return cfg;
+}
+
+}  // namespace
+
 template <typename Traits>
 BasicSkipTrie<Traits>::BasicSkipTrie(const Config& cfg)
-    : cfg_(cfg),
+    : cfg_(checked_config<Traits>(cfg)),
       arena_(sizeof(Node_t), kCacheLine, cfg.arena_blocks_per_slab),
       ebr_(),
       ctx_{&ebr_, cfg.dcss_mode},
       engine_(ctx_, arena_, ceil_log2(cfg.universe_bits)),
       trie_(ctx_, engine_, cfg.universe_bits, cfg.max_hash_buckets) {
-  assert(cfg.universe_bits >= 4 && cfg.universe_bits <= Traits::kMaxBits);
   engine_.set_finger_enabled(cfg.use_finger);
-  engine_.enable_leaf_chunking(cfg.leaf_chunking);
-  if (cfg.adaptive_heights) {
-    adapt_ = std::make_unique<AdaptiveHeightManager>();
-  }
 }
 
 template <typename Traits>
-auto BasicSkipTrie<Traits>::locate(key_type key, Ikey x,
-                                   LocateExact exact) const ->
+auto BasicSkipTrie<Traits>::locate(key_type key, Ikey x) const ->
     typename Engine::Bracket {
   TrieStartEnv env{&trie_, key};
-  return engine_.fingered_descend(
-      x, /*min_level=*/0, &trie_start, &env, /*hints=*/nullptr,
-      adapt_ != nullptr ? exact : LocateExact::kNone);
-}
-
-template <typename Traits>
-void BasicSkipTrie<Traits>::maybe_adapt(Node_t* n) const {
-  AdaptiveHeightManager* am = adapt_.get();
-  if (am == nullptr) return;
-  uint64_t& tick = tls_adapt_tick();
-  ++tick;
-  if ((tick & ((1ull << AdaptiveHeightManager::kSamplePeriodLog2) - 1)) != 0) {
-    return;  // hot path: one thread-local increment per read
-  }
-  if (n == nullptr || n->kind() != NodeKind::kInterior || n->level() != 0) {
-    return;
-  }
-  auto& c = tls_counters();
-  c.adapt_checks++;
-  const Ikey x = n->ikey();
-  if (x == Ikey(0) || x == Traits::ikey_max()) return;  // recycled/poisoned
-  const uint64_t fp = Traits::height_mix(x);
-  const uint32_t cnt = am->note(fp);
-  const uint64_t tot = am->total();
-  const uint32_t top = engine_.top_level();
-  // The root's height byte is the current-height hint (node.h): reading it
-  // screens out already-tall towers without probing the tower itself.
-  const uint32_t cur_h = n->orig_height();
-  if (cur_h > top) return;  // torn/poisoned meta — just a missed sample
-  const uint32_t want =
-      AdaptiveHeightManager::desired_height(cnt, tot, cur_h, top);
-  if (want <= cur_h) return;
-  if (!am->try_latch(fp)) return;  // another thread is adapting this stripe
-  // Re-validate under the latch (the node may have been erased or recycled
-  // since the read observed it); promote_tower re-checks all of this again
-  // via pointer identity, so a stale pass here only costs steps.
-  if (n->kind() == NodeKind::kInterior && n->level() == 0 && n->ikey() == x &&
-      n->stopw.load(std::memory_order_relaxed) == 0 &&
-      !is_marked(dcss_read(n->next))) {
-    adapt_promote(x, n, want);
-  }
-  am->unlatch(fp);
-}
-
-template <typename Traits>
-void BasicSkipTrie<Traits>::adapt_promote(Ikey x, Node_t* root,
-                                          uint32_t want) const {
-  const uint32_t base_h = tower_height(x);
-  const typename Engine::PromoteResult pr =
-      engine_.promote_tower(x, root, want);
-  const key_type key = static_cast<key_type>(x - Ikey(1));
-  if (pr.top != nullptr) {
-    // Coverage invariant (DESIGN.md §3.4/§8.3): a tower reaching the top
-    // level must be indexed by the x-fast trie, exactly as finish_insert
-    // does for an insert-time raise.
-    trie_.insert_prefixes(key, pr.top);
-    top_live_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (pr.undone_top != nullptr) {
-    // CAS-fallback top undo (DESIGN.md §3.5(5)): sweep then retire.
-    trie_.remove_prefixes(key, pr.undone_top, nullptr);
-    engine_.retire_node(pr.undone_top);
-  }
-  if (!pr.raised) return;
-  root->set_height_hint(pr.new_height);
-  adapt_->record_promoted(Traits::height_mix(x), root, base_h);
-  adapt_->add_promotion();
-  tls_counters().promotions++;
-  // Each promotion pays for a bounded demotion scan (splay-list-style
-  // amortized rotation): cold promoted towers get found without any
-  // background thread.
-  adapt_demote_scan();
-}
-
-template <typename Traits>
-void BasicSkipTrie<Traits>::adapt_demote_scan() const {
-  AdaptiveHeightManager* am = adapt_.get();
-  AdaptiveHeightManager::Promoted cand;
-  if (!am->next_demote_candidate(
-          &cand, AdaptiveHeightManager::kDemoteScanPerPromote)) {
-    return;
-  }
-  Node_t* root = static_cast<Node_t*>(cand.root);
-  if (!am->try_latch(cand.fp)) return;  // may collide with the promote
-                                        // latch we hold — skip, not block
-  const Ikey x = root->ikey();
-  const uint32_t top = engine_.top_level();
-  // Typed validation of the opaque registry pointer: storage is type-stable
-  // (DESIGN.md §3.3) so the reads are safe, and a recycled/re-keyed node
-  // fails the fingerprint or kind/level screen and just drops the slot.
-  const bool valid =
-      root->kind() == NodeKind::kInterior && root->level() == 0 &&
-      x != Ikey(0) && x != Traits::ikey_max() &&
-      Traits::height_mix(x) == cand.fp &&
-      !is_marked(dcss_read(root->next)) &&
-      root->stopw.load(std::memory_order_relaxed) == 0 && cand.base_h < top;
-  if (!valid) {
-    am->drop_promoted(cand.root);
-    am->unlatch(cand.fp);
-    return;
-  }
-  const uint32_t cur_h = root->orig_height();
-  if (cur_h <= cand.base_h || cur_h > top ||
-      !AdaptiveHeightManager::is_cold(am->count_of(cand.fp), am->total(),
-                                      cur_h, top)) {
-    am->unlatch(cand.fp);
-    return;
-  }
-  const key_type key = static_cast<key_type>(x - Ikey(1));
-  const typename Engine::EraseResult dr =
-      engine_.demote_tower(x, root, cand.base_h);
-  if (dr.top != nullptr) {
-    // Demote won the top mark: it owns the trie sweep (engine.h contract).
-    trie_.remove_prefixes(key, dr.top, dr.top_left);
-    top_live_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  if (dr.erased) {
-    root->set_height_hint(cand.base_h);
-    am->drop_promoted(cand.root);
-    am->add_demotion();
-    tls_counters().demotions++;
-  }
-  engine_.retire_owned(dr);
-  am->unlatch(cand.fp);
+  return engine_.fingered_descend(x, /*min_level=*/0, &trie_start, &env);
 }
 
 template <typename Traits>
@@ -233,12 +123,7 @@ bool BasicSkipTrie<Traits>::contains(key_type key) const {
   assert(key <= max_key());
   EbrDomain::Guard g(ebr_);
   const Ikey x = ikey_of(key);
-  const typename Engine::Bracket b = locate(key, x, LocateExact::kRight);
-  const bool found = b.right->ikey() == x;
-  // Whether found at level 0 or via the exact exit, b.right is the target's
-  // level-0 node — the sampled frequency signal (DESIGN.md §8.1).
-  if (found) maybe_adapt(b.right);
-  return found;
+  return locate(key, x).right->ikey() == x;
 }
 
 template <typename Traits>
@@ -248,11 +133,8 @@ auto BasicSkipTrie<Traits>::predecessor(key_type key) const
   EbrDomain::Guard g(ebr_);
   // Largest ikey <= ikey(key)  <=>  bracket left of x = ikey(key) + 1.
   const Ikey x = ikey_of(key) + Ikey(1);
-  const typename Engine::Bracket b = locate(key, x, LocateExact::kLeft);
+  const typename Engine::Bracket b = locate(key, x);
   if (b.left->kind() != NodeKind::kInterior) return std::nullopt;  // head
-  // Sample the answer's tower: promoting it is what lets later queries in
-  // this neighborhood take the kLeft exact exit (DESIGN.md §8.1).
-  maybe_adapt(b.left->level() == 0 ? b.left : b.left->root());
   return b.left->ikey() - Ikey(1);
 }
 
@@ -262,9 +144,8 @@ auto BasicSkipTrie<Traits>::strict_predecessor(key_type key) const
   assert(key <= max_key());
   EbrDomain::Guard g(ebr_);
   const Ikey x = ikey_of(key);
-  const typename Engine::Bracket b = locate(key, x, LocateExact::kLeft);
+  const typename Engine::Bracket b = locate(key, x);
   if (b.left->kind() != NodeKind::kInterior) return std::nullopt;
-  maybe_adapt(b.left->level() == 0 ? b.left : b.left->root());
   return b.left->ikey() - Ikey(1);
 }
 
@@ -274,9 +155,8 @@ auto BasicSkipTrie<Traits>::successor(key_type key) const
   assert(key <= max_key());
   EbrDomain::Guard g(ebr_);
   const Ikey x = ikey_of(key) + Ikey(1);  // first node with ikey >= ikey(key)+1
-  const typename Engine::Bracket b = locate(key, x, LocateExact::kRight);
+  const typename Engine::Bracket b = locate(key, x);
   if (b.right->kind() != NodeKind::kInterior) return std::nullopt;  // tail
-  maybe_adapt(b.right->level() == 0 ? b.right : b.right->root());
   return b.right->ikey() - Ikey(1);
 }
 
@@ -332,22 +212,6 @@ auto BasicSkipTrie<Traits>::structure_stats() const -> StructureStats {
   s.hash_buckets = trie_.map().bucket_count();
   s.hash_dummies = trie_.map().dummy_count();
   s.hash_load_factor = trie_.map().load_factor();
-  if (const auto* cm = engine_.leaf_chunks(); cm != nullptr) {
-    // Walk the chunk list (quiescent, like the rest of this function) for
-    // the structural view; occupancy uses the same definition as
-    // LeafLiveStats but over the walked chunks.
-    size_t chunks = 0, indexed = 0;
-    cm->for_each_chunk([&](const auto& ch) {
-      ++chunks;
-      indexed += ch.count();
-    });
-    s.leaf_chunks = chunks;
-    const size_t slots =
-        chunks * LeafChunkManager<Traits>::Chunk::kKeys;
-    s.avg_occupancy =
-        slots > 0 ? static_cast<double>(indexed) / static_cast<double>(slots)
-                  : 0.0;
-  }
 
   // Gap statistics: number of level-0 keys strictly between consecutive
   // top-level nodes (the paper's "bucket" size, expected O(log u)).

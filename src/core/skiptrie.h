@@ -34,7 +34,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -42,7 +41,6 @@
 #include "core/config.h"
 #include "reclaim/arena.h"
 #include "reclaim/ebr.h"
-#include "skiplist/adaptive.h"
 #include "skiplist/engine.h"
 #include "xfast/xfast_trie.h"
 
@@ -57,6 +55,8 @@ class BasicSkipTrie {
   using Engine = BasicSkipListEngine<Traits>;
   using Trie = BasicXFastTrie<Traits>;
 
+  // Throws std::invalid_argument when cfg.universe_bits is outside
+  // [4, Traits::kMaxBits].
   explicit BasicSkipTrie(const Config& cfg = Config{});
   ~BasicSkipTrie() = default;
 
@@ -132,11 +132,7 @@ class BasicSkipTrie {
   void for_each_in_range(key_type lo, key_type hi, F f) const {
     if (lo > hi) return;
     EbrDomain::Guard g(ebr_);
-    const Ikey xlo = ikey_of(lo);
-    // kRight exact exit (DESIGN.md §8.3): when lo itself is a promoted hot
-    // key, the bracket's right side is its level-0 root — exactly where the
-    // level-0 walk below starts either way.
-    const typename Engine::Bracket b = locate(lo, xlo, LocateExact::kRight);
+    const typename Engine::Bracket b = locate(lo, ikey_of(lo));
     const Ikey xhi = ikey_of(hi);
     for (Node_t* n = b.right;
          n != nullptr && n->kind() == NodeKind::kInterior && n->ikey() <= xhi;
@@ -177,36 +173,22 @@ class BasicSkipTrie {
     size_t hash_buckets = 0;      // split-ordered directory size
     size_t hash_dummies = 0;      // bucket dummy nodes spliced into the list
     double hash_load_factor = 0;  // trie_entries / hash_buckets (target <= 2)
-    size_t leaf_chunks = 0;       // live leaf chunks (0 when chunking off)
-    double avg_occupancy = 0;     // mean keys-per-chunk / capacity
   };
   // Quiescent-only walk of the structure.
   StructureStats structure_stats() const;
 
-  // Cheap atomic leaf-chunk totals, safe to sample mid-run from any thread
-  // (DESIGN.md §7.4; all-zero when Config::leaf_chunking is off).
-  LeafLiveStats leaf_live_stats() const {
-    const auto* cm = engine_.leaf_chunks();
-    return cm != nullptr ? cm->live_stats() : LeafLiveStats{};
-  }
+  // Always empty: the structure has no leaf chunks.  Kept only for
+  // perfbench's per-layer report, which still reads it.
+  LeafLiveStats leaf_live_stats() const { return {}; }
 
-  // Cheap atomic structural totals, safe to sample mid-run from any thread
-  // (DESIGN.md §8.4): the driver's checkpoint seam charts adaptation speed
-  // from these.  promotions/demotions stay zero when adaptation is off.
+  // Cheap atomic structural totals, safe to sample mid-run from any thread.
+  // perfbench's per-layer report reads top_count.
   StructureLiveStats structure_live_stats() const {
     StructureLiveStats s;
     s.keys = size();
     s.top_count = top_live_.load(std::memory_order_relaxed);
-    if (adapt_ != nullptr) {
-      s.promotions = adapt_->promotions();
-      s.demotions = adapt_->demotions();
-    }
     return s;
   }
-
-  // The adaptation manager, nullptr when Config::adaptive_heights is off
-  // (white-box tests).
-  AdaptiveHeightManager* adaptive() const { return adapt_.get(); }
 
   // Internal components, exposed for white-box tests and benchmarks.
   Engine& engine() { return engine_; }
@@ -227,26 +209,7 @@ class BasicSkipTrie {
   // (DESIGN.md §3.6): a finger hit starts below the top and skips
   // lowest_ancestor entirely; a miss runs the x-fast pred_start and the
   // descent seeds the finger from it.  Must be called with ebr_ pinned.
-  // `exact` selects the adaptive early exit the caller can consume
-  // (DESIGN.md §8.3); it is forced to kNone while adaptation is off, so
-  // the off configuration descends exactly like the seed.
-  typename Engine::Bracket locate(key_type key, Ikey x,
-                                  LocateExact exact = LocateExact::kNone) const;
-
-  // --- Adaptive tower heights: policy side (DESIGN.md §8) -----------------
-  // Sampling hook run by the single-key reads on the level-0 node they
-  // observed: every 2^kSamplePeriodLog2-th read per thread feeds the
-  // frequency sketch and, when the splay-list threshold for the tower's
-  // current height is crossed, promotes the tower under the adapt latch.
-  void maybe_adapt(Node_t* n) const;
-  // Raise root's tower to `want` levels and publish the consequences
-  // (x-fast prefixes on reaching the top, registry entry, counters).
-  // Caller holds the adapt latch for the tower's fingerprint.
-  void adapt_promote(Ikey x, Node_t* root, uint32_t want) const;
-  // Scan a few promoted-registry slots for a cold tower and demote it back
-  // to its deterministic draw (bounded amortized rotation: each promotion
-  // pays for kDemoteScanPerPromote probes).
-  void adapt_demote_scan() const;
+  typename Engine::Bracket locate(key_type key, Ikey x) const;
 
   // Lazy x-fast start for the engine's cursor entry points: only invoked
   // when neither the cursor nor the finger has a usable bracket, so those
@@ -272,14 +235,10 @@ class BasicSkipTrie {
   DcssContext ctx_;
   mutable Engine engine_;
   mutable Trie trie_;
-  // The adaptation policy state (DESIGN.md §8); null when
-  // Config::adaptive_heights is off — every hook checks and the structure
-  // then behaves exactly like the seed.
-  std::unique_ptr<AdaptiveHeightManager> adapt_;
   std::atomic<int64_t> size_{0};
   // Towers currently at the top level (mid-run sampling; maintained by
-  // finish_insert/finish_erase and the promote/demote wrappers).
-  mutable std::atomic<uint64_t> top_live_{0};
+  // finish_insert/finish_erase).
+  std::atomic<uint64_t> top_live_{0};
 };
 
 // The historical u64 fast-path name.

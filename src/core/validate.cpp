@@ -1,6 +1,5 @@
 #include "core/validate.h"
 
-#include <bit>
 #include <iomanip>
 #include <sstream>
 #include <unordered_map>
@@ -108,62 +107,6 @@ std::vector<std::string> validate_structure(const BasicSkipTrie<Traits>& t) {
     if (is_marked(pv)) {
       fail("top node " + hex(n->ikey()) + " unmarked but prev word marked");
     }
-  }
-
-  // Leaf-chunk structural invariants (DESIGN.md §7).  Chunks are a hint
-  // index maintained post-linearization, so even quiescently a chunk may
-  // hold stale entries (skipped maintenance) or miss keys — completeness
-  // against the level-0 list is asserted only by leaf_chunk_test's
-  // single-threaded cases.  What MUST hold: the chunk list is strictly
-  // base-ordered starting at base 0, every chunk's occupied slots form a
-  // sorted prefix of its bitmap, and every indexed key falls inside its
-  // chunk's coverage.
-  if (const auto* cm = eng.leaf_chunks(); cm != nullptr) {
-    using Chunk = typename LeafChunkManager<Traits>::Chunk;
-    bool first = true;
-    Ikey prev_base = Ikey(0);
-    Ikey prev_max = Ikey(0);  // largest key of the previous chunk
-    uint32_t prev_id = 0;
-    cm->for_each_chunk([&](const Chunk& ch) {
-      const Ikey base = ch.base.load();
-      if (first) {
-        if (base != Ikey(0)) fail("head leaf chunk base is not 0");
-        first = false;
-      } else {
-        if (base <= prev_base) {
-          fail("leaf chunk " + std::to_string(ch.id) + ": base " + hex(base) +
-               " not above predecessor " + hex(prev_base));
-        }
-        if (prev_max >= base) {
-          fail("leaf chunk " + std::to_string(prev_id) + ": key " +
-               hex(prev_max) + " at or above successor base " + hex(base));
-        }
-      }
-      prev_base = base;
-      prev_id = ch.id;
-      prev_max = Ikey(0);
-      const uint64_t occ = ch.occ.load(std::memory_order_relaxed);
-      const uint32_t n = static_cast<uint32_t>(std::popcount(occ));
-      if (n > Chunk::kKeys || occ != (uint64_t(1) << n) - 1) {
-        fail("leaf chunk " + std::to_string(ch.id) +
-             ": occupancy bitmap is not a prefix");
-        return;
-      }
-      Ikey pk = Ikey(0);
-      for (uint32_t i = 0; i < n; ++i) {
-        const Ikey k = ch.keys[i].load();
-        if (i > 0 && k <= pk) {
-          fail("leaf chunk " + std::to_string(ch.id) +
-               ": keys not strictly sorted at slot " + std::to_string(i));
-        }
-        pk = k;
-        if (k < base) {
-          fail("leaf chunk " + std::to_string(ch.id) + ": key " + hex(k) +
-               " below chunk base " + hex(base));
-        }
-      }
-      prev_max = pk;
-    });
   }
 
   // Trie consistency: every entry's pointers are null or land on a live

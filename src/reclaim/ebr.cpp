@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace skiptrie {
 
@@ -55,11 +57,20 @@ detail::EbrThreadState* EbrDomain::thread_state() {
   for (auto* s : reg.states) {
     if (s->domain == this) return s;
   }
-  auto* s = new detail::EbrThreadState();
-  s->domain = this;
+  detail::EbrThreadState* s = nullptr;
   {
     std::lock_guard<std::mutex> lk(slot_mu_);
-    assert(!free_slots_.empty() && "too many threads for EbrDomain");
+    // Checked in every build, before anything is allocated: past this point
+    // a thread beyond the slot table would index out of bounds.
+    if (free_slots_.empty()) {
+      std::fprintf(stderr,
+                   "EbrDomain: more than kMaxThreads = %u live threads "
+                   "registered with one domain\n",
+                   kMaxThreads);
+      std::abort();
+    }
+    s = new detail::EbrThreadState();
+    s->domain = this;
     s->slot = free_slots_.back();
     free_slots_.pop_back();
     registered_.push_back(s);

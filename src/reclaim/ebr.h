@@ -14,7 +14,9 @@
 //
 // Threads register implicitly on first use of a domain and may use any
 // number of domains; per-domain thread state is found via a small
-// thread-local registry.  Slot scanning is O(max registered threads).
+// thread-local registry.  Slot scanning is O(max registered threads).  A
+// domain holds at most kMaxThreads live threads at once; registering one
+// more aborts with a message (a thread's slot is freed when it exits).
 #pragma once
 
 #include <atomic>

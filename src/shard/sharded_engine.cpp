@@ -288,13 +288,6 @@ auto BasicShardedEngine<Traits>::structure_stats() const ->
     agg.trie_bytes += s.trie_bytes;
     agg.hash_buckets += s.hash_buckets;
     agg.hash_dummies += s.hash_dummies;
-    // Occupancy aggregates chunk-weighted (each shard's mean covers its own
-    // chunk count).
-    agg.avg_occupancy += s.avg_occupancy * static_cast<double>(s.leaf_chunks);
-    agg.leaf_chunks += s.leaf_chunks;
-  }
-  if (agg.leaf_chunks > 0) {
-    agg.avg_occupancy /= static_cast<double>(agg.leaf_chunks);
   }
   if (gap_weight > 0) agg.avg_top_gap /= gap_weight;
   agg.hash_load_factor =

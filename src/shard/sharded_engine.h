@@ -148,29 +148,14 @@ class BasicShardedEngine {
   // from the summed numerators/denominators.
   typename Trie::StructureStats structure_stats() const;
 
-  // Mid-run-safe leaf-chunk totals: sum of the per-shard atomic counters
-  // (DESIGN.md §7.4).  Capacity is traits-uniform across shards.
-  LeafLiveStats leaf_live_stats() const {
-    LeafLiveStats agg;
-    for (const auto& sp : shards_) {
-      const LeafLiveStats s = sp->leaf_live_stats();
-      agg.chunks += s.chunks;
-      agg.keys += s.keys;
-      if (s.capacity != 0) agg.capacity = s.capacity;
-    }
-    return agg;
-  }
-
-  // Mid-run-safe structural totals: sum of the per-shard atomic counters
-  // (DESIGN.md §8.4).  All fields are additive across shards.
+  // Mid-run-safe structural totals: sum of the per-shard atomic counters.
+  // All fields are additive across shards.
   StructureLiveStats structure_live_stats() const {
     StructureLiveStats agg;
     for (const auto& sp : shards_) {
       const StructureLiveStats s = sp->structure_live_stats();
       agg.keys += s.keys;
       agg.top_count += s.top_count;
-      agg.promotions += s.promotions;
-      agg.demotions += s.demotions;
     }
     return agg;
   }

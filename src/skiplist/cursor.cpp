@@ -22,10 +22,7 @@ constexpr uint64_t kTopEntryMaxGaps = 8;
 
 template <typename Traits>
 auto BasicDescentCursor<Traits>::seek(Ikey x, uint32_t cold_min_level,
-                                      StartFn fallback, void* env,
-                                      uint32_t stop_level,
-                                      uint32_t* stopped_at, LocateExact exact,
-                                      bool* exact_hit) -> Bracket {
+                                      StartFn fallback, void* env) -> Bracket {
   Engine& e = *eng_;
   const uint32_t top = e.top_level();
   auto& c = tls_counters();
@@ -49,15 +46,11 @@ auto BasicDescentCursor<Traits>::seek(Ikey x, uint32_t cold_min_level,
     return !is_marked(dcss_read(n->next));
   };
   // Run the descent from (start, lvl).  A cold seek head-fills EVERY row
-  // first (the descent then overwrites the rows it traverses): this covers
-  // rows above the entry, rows below a stop_level floor, and — under
-  // adaptive heights — the rows an exact-match exit (DESIGN.md §8.3) never
-  // reaches, so no row is ever left holding garbage a later warm screen
-  // would dereference.  Any entry at the top makes every row real.
+  // first (the descent then overwrites the rows it traverses), so the rows
+  // above the entry never hold garbage a later warm screen would
+  // dereference.  Any entry at the top makes every row real.
   const auto enter = [&](Node_t* start, uint32_t lvl,
                          BasicSearchFinger<Traits>* f, uint64_t epoch) {
-    const uint32_t floor = lvl < stop_level ? lvl : stop_level;
-    if (stopped_at != nullptr) *stopped_at = floor;
     if (lvl == top) rows_real_ = true;
     if (!was_warm) {
       for (uint32_t l = 0; l <= top; ++l) {
@@ -66,8 +59,7 @@ auto BasicDescentCursor<Traits>::seek(Ikey x, uint32_t cold_min_level,
         right_ikey_[l] = Ikey(0);
       }
     }
-    return e.descend_from(x, start, lvl, left_, f, epoch, this, floor, exact,
-                          exact_hit);
+    return e.descend_from(x, start, lvl, left_, f, epoch, this);
   };
 
   // Reuse candidate: the lowest retained row (at or above eff_min) whose

@@ -59,7 +59,6 @@ class BasicDescentCursor {
     eng_ = &engine;
     warm_ = false;
     rows_real_ = false;
-    chunk_hint_ = 0;
   }
 
   // Position the cursor at x, returning the level-0 bracket
@@ -71,22 +70,7 @@ class BasicDescentCursor {
   // Write streams pass cold_min_level = top so that every retained row is
   // descent-fresh or a prior row, never a bare level head (their raise and
   // tower-sweep phases consume hints at every level; see cursor.cpp).
-  //
-  // Chunk-terminated reads (DESIGN.md §7.2) pass stop_level > 0: the
-  // descent stops at min(entry level, stop_level) and returns that level's
-  // bracket (only an entry at level 0 — a retained level-0 bracket still
-  // containing x — yields a full bracket).  *stopped_at, when non-null,
-  // receives the level of the returned bracket.
-  //
-  // Read paths under adaptive heights pass `exact` != kNone (DESIGN.md
-  // §8.3): the descent may end at an upper level whose bracket touches the
-  // target's promoted tower, returning its level-0 root directly;
-  // *exact_hit (when non-null) reports that exit (the bracket is then
-  // final regardless of stop_level).
-  Bracket seek(Ikey x, uint32_t cold_min_level, StartFn fallback, void* env,
-               uint32_t stop_level = 0, uint32_t* stopped_at = nullptr,
-               LocateExact exact = LocateExact::kNone,
-               bool* exact_hit = nullptr);
+  Bracket seek(Ikey x, uint32_t cold_min_level, StartFn fallback, void* env);
 
   // Per-level left hints of the last seek (size engine.top_level()+1),
   // in the exact shape insert_from/erase_from consume (and mutate).
@@ -97,7 +81,6 @@ class BasicDescentCursor {
   void invalidate() {
     warm_ = false;
     rows_real_ = false;
-    chunk_hint_ = 0;
   }
 
   // Fold a just-completed insert of x (tower height `height`) into the
@@ -131,11 +114,6 @@ class BasicDescentCursor {
   Node_t* left_[Engine::kMaxLevels + 1];
   Ikey left_ikey_[Engine::kMaxLevels + 1];
   Ikey right_ikey_[Engine::kMaxLevels + 1];
-  // Leaf chunk (id + 1) the last chunk-terminated read resolved through;
-  // 0 = none.  Maintained by the engine's chunked_read (the cursor never
-  // dereferences it): a streaming read whose next key lands in the same
-  // chunk skips the descent entirely (DESIGN.md §7.2).
-  uint32_t chunk_hint_ = 0;
 };
 
 // The calling thread's persistent cursor for the engine identified by

@@ -1,7 +1,6 @@
 #include "skiplist/engine.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <new>
 
@@ -127,7 +126,7 @@ auto BasicSkipListEngine<Traits>::list_search(Ikey x, Node_t* start,
         break;
       }
       c.node_hops++;
-      c.bytes_touched += kCacheLine;  // one node == one line (DESIGN.md §7.4)
+      c.bytes_touched += kCacheLine;  // one node == one line (DESIGN.md §5.5)
       if (level == top_) {
         c.hops_top++;  // attribution only; hops_top+hops_descent == node_hops
       } else {
@@ -171,9 +170,7 @@ template <typename Traits>
 auto BasicSkipListEngine<Traits>::descend_from(Ikey x, Node_t* cur,
                                                uint32_t lvl, Node_t** hints,
                                                Finger* f, uint64_t epoch,
-                                               Cursor* rec, uint32_t floor,
-                                               LocateExact exact,
-                                               bool* exact_hit) -> Bracket {
+                                               Cursor* rec) -> Bracket {
   // Record only the kRecordDepth levels just below the entry level (the
   // frequency cascade, DESIGN.md §3.6): a target must hit at level l before
   // its descent may populate rows l-1, l-2.  Recording every traversed
@@ -206,37 +203,7 @@ auto BasicSkipListEngine<Traits>::descend_from(Ikey x, Node_t* cur,
       // a hint either way, DESIGN.md §3.6).
       f->record(lvl, b.left, b.left->ikey(), b.right->ikey(), epoch);
     }
-    if (exact != LocateExact::kNone && lvl > 0) {
-      // Adaptive exact-match exit (DESIGN.md §8.3): the target's promoted
-      // tower is visible at this upper level, so the remaining descent can
-      // only re-find the same tower.  The exit must observe the tower's
-      // level-0 ROOT unmarked: the root's mark is the deletion's
-      // linearization point, and in CAS-fallback mode a raise links its
-      // upper node by plain CAS before re-checking the stop word, so an
-      // unmarked upper node can transiently coexist with an already-marked
-      // root (§3.5(5)).  A marked (or recycled/re-keyed) root simply falls
-      // through to the normal descent, which re-resolves everything.
-      Node_t* hit = nullptr;
-      if (exact == LocateExact::kRight) {
-        if (b.right->kind() == NodeKind::kInterior && b.right->ikey() == x) {
-          hit = b.right;
-        }
-      } else if (b.left->kind() == NodeKind::kInterior &&
-                 b.left->ikey() == x - Ikey(1)) {
-        hit = b.left;
-      }
-      if (hit != nullptr) {
-        Node_t* root = hit->root();
-        if (root != nullptr && root->kind() == NodeKind::kInterior &&
-            root->level() == 0 && root->ikey() == hit->ikey() &&
-            !is_marked(dcss_read(root->next))) {
-          if (exact_hit != nullptr) *exact_hit = true;
-          return exact == LocateExact::kRight ? Bracket{b.left, root}
-                                              : Bracket{root, b.right};
-        }
-      }
-    }
-    if (lvl <= floor) return b;  // floor > 0: chunk-terminated read (§7.2)
+    if (lvl == 0) return b;
     --lvl;
     cur = b.left->kind() == NodeKind::kHead ? head_[lvl] : b.left->down();
     if (cur == nullptr) cur = head_[lvl];  // defensive
@@ -255,193 +222,10 @@ auto BasicSkipListEngine<Traits>::descend(Ikey x, Node_t* start,
 }
 
 template <typename Traits>
-void BasicSkipListEngine<Traits>::enable_leaf_chunking(bool on) {
-  if (!on) {
-    chunks_.reset();
-    chunk_entry_ = 0;
-    return;
-  }
-  if (chunks_ == nullptr) {
-    chunks_ = std::make_unique<LeafChunkManager<Traits>>();
-  }
-  // One chunk spans ~kKeys keys at steady-state ~70% occupancy, so a read
-  // descent may stop log2(kKeys)+1 levels above 0: the remaining gap at the
-  // stop level is a couple of chunks wide — one or two chunk-header
-  // crossings in the find() walk, cheaper than walking the level it
-  // replaces.
-  const uint32_t span =
-      static_cast<uint32_t>(std::bit_width(LeafChunkT<Traits>::kKeys));
-  chunk_entry_ = top_ < span ? top_ : span;
-}
-
-template <typename Traits>
-auto BasicSkipListEngine<Traits>::chunked_read(Cursor& cur, Ikey x,
-                                               StartFn fallback, void* env,
-                                               LocateExact exact) -> Bracket {
-  auto& c = tls_counters();
-  LeafChunkManager<Traits>& cm = *chunks_;
-  const bool was_warm = cur.warm();
-
-  // A level-0 start pulled out of a chunk is a hint like any other: screen
-  // it cheaply, then let list_search do the real validation.
-  const auto usable0 = [&](Node_t* n) {
-    return n != nullptr && n->kind() == NodeKind::kInterior &&
-           n->level() == 0 && n->ikey() < x;
-  };
-  // Finish from a screened level-0 start, refreshing the retained state a
-  // later read will consult (row 0, the cursor's chunk id, a finger chunk
-  // way, a finger level-0 row).  The two finger caches are complementary:
-  // a chunk way covers a whole ~kKeys-key run but every hit pays an
-  // in-chunk scan, while a level-0 row covers one exact bracket that a
-  // repeating hot key re-enters for just the verify walk.  Row 0 is
-  // recorded only when `earned` — the caller already hit some retained
-  // state (cursor row, chunk way, low finger row), i.e. the target shows
-  // repetition.  This is the finger's frequency cascade (DESIGN.md §3.6)
-  // applied to chunks: a cold one-shot read must not evict a hot row-0
-  // bracket, or on skewed streams the cold tail churns the ways faster
-  // than the hot set repeats.
-  const auto finish = [&](Node_t* start,
-                          const typename LeafChunkManager<Traits>::HintResult&
-                              hr,
-                          bool earned) {
-    Bracket b = list_search(x, start, 0);
-    // Unconditional: on a still-cold cursor these stores are dead (warm_
-    // stays false and nothing reads the rows), and after path (c)'s seek
-    // the cursor is warm with initialized rows that should stay fresh.
-    cur.left_[0] = b.left;
-    cur.left_ikey_[0] = b.left->ikey();
-    cur.right_ikey_[0] = b.right->ikey();
-    if (hr.covered) cur.chunk_hint_ = hr.idw;
-    if (finger_on_) {
-      Finger& f = finger();
-      if (hr.covered) f.record_chunk(hr.idw, hr.base, hr.right);
-      if (earned) {
-        f.record_leaf(b.left, b.left->ikey(), b.right->ikey(),
-                      ctx_.ebr->global_epoch());
-      }
-    }
-    return b;
-  };
-
-  // (a) Warm cursor whose retained level-0 bracket still contains x: enter
-  // there directly (the books say reuse, exactly as seek would).
-  if (was_warm && cur.left_ikey_[0] < x && x <= cur.right_ikey_[0]) {
-    Node_t* n = cur.left_[0];
-    const NodeKind k = n->kind();
-    if ((k == NodeKind::kInterior || k == NodeKind::kHead) &&
-        n->level() == 0 && n->ikey() == cur.left_ikey_[0] &&
-        !is_marked(dcss_read(n->next))) {
-      c.cursor_reuses++;
-      Bracket b = list_search(x, n, 0);
-      cur.left_[0] = b.left;
-      cur.left_ikey_[0] = b.left->ikey();
-      cur.right_ikey_[0] = b.right->ikey();
-      return b;
-    }
-  }
-
-  // (a') Warm cursor whose retained chunk still covers x (streaming reads
-  // landing repeatedly in one run): scan it, skip the descent entirely.
-  if (was_warm && cur.chunk_hint_ != 0 &&
-      cm.covers_hint(cur.chunk_hint_, x)) {
-    const auto hr = cm.pred_hint(x, cur.chunk_hint_, c);
-    if (hr.covered && usable0(hr.node)) {
-      c.cursor_reuses++;
-      return finish(hr.node, hr, /*earned=*/true);
-    }
-  }
-
-  // (b) Finger, cheapest cache first.  A leaf-bracket hit is an exact
-  // level-0 bracket a repeating hot key re-enters for just the verify walk
-  // — no scan.  Failing that, a chunk way covering x is the single-key
-  // warm path; only a way that yields a usable in-chunk predecessor
-  // short-circuits, otherwise fall through to the descent (which knows how
-  // to start from head runs).
-  if (finger_on_) {
-    Finger& f = finger();
-    const uint64_t now = ctx_.ebr->global_epoch();
-    if (Node_t* fstart = f.try_leaf(x, now)) {
-      if (was_warm) c.cursor_redescends++;
-      c.finger_hits++;
-      c.hops_finger_saved += top_;
-      Bracket b = list_search(x, fstart, 0);
-      cur.left_[0] = b.left;
-      cur.left_ikey_[0] = b.left->ikey();
-      cur.right_ikey_[0] = b.right->ikey();
-      f.record_leaf(b.left, b.left->ikey(), b.right->ikey(), now);
-      return b;
-    }
-    const uint32_t fidw = f.try_chunk(x);
-    if (fidw != 0 && cm.covers_hint(fidw, x)) {
-      const auto hr = cm.pred_hint(x, fidw, c);
-      if (hr.covered && usable0(hr.node)) {
-        if (was_warm) c.cursor_redescends++;
-        c.finger_hits++;
-        c.hops_finger_saved += top_;
-        return finish(hr.node, hr, /*earned=*/true);
-      }
-    }
-  }
-
-  // (c) Descend, stopping chunk_entry_ levels above 0, then resolve the
-  // stopped bracket through the chunk index (unless the seek entered low
-  // enough that the bracket is already tight).  The bracket's left tower
-  // names its root's chunk (chunkw); its root is itself a sound level-0
-  // start should the chunk scan come back empty.
-  uint32_t stopped_at = 0;
-  bool exact_hit = false;
-  Bracket b = cur.seek(x, /*cold_min_level=*/0, fallback, env, chunk_entry_,
-                       &stopped_at, exact, &exact_hit);
-  // An exact exit's bracket is final (its far side is the target's level-0
-  // root) — the chunk resolution below would only redo the work.
-  if (exact_hit) return b;
-  if (stopped_at == 0) return b;  // entered at level 0: already a bracket
-  Node_t* lstart = head_[0];
-  uint32_t hw = 0;
-  if (b.left->kind() == NodeKind::kInterior) {
-    Node_t* r = b.left->root();
-    if (usable0(r)) {
-      lstart = r;
-      hw = r->chunkw.load(std::memory_order_relaxed);
-    }
-  }
-  // The bracket's *right* tower is the sharper chunk hint: its root is the
-  // smallest level-0 key >= x, so x's covering chunk is the very chunk
-  // indexing that root — unless x falls in the narrow slice below the
-  // chunk's base (then the covers screen rejects it and the left-root hint
-  // walks forward as usual).  The left hint is still a whole stop-level
-  // gap behind x, several chunk-header crossings away.
-  if (b.right->kind() == NodeKind::kInterior) {
-    Node_t* rr = b.right->root();
-    if (rr != nullptr && rr->level() == 0) {
-      const uint32_t rw = rr->chunkw.load(std::memory_order_relaxed);
-      if (rw != 0 && cm.covers_hint(rw, x)) hw = rw;
-    }
-  }
-  // A stop at level <= 2 means the seek entered from a low retained row
-  // and the bracket spans at most ~4 keys — walking them directly is
-  // cheaper than a chunk-header walk plus a scan (which only pays for
-  // itself against level-3+ gaps).  The low entry is also repetition
-  // evidence, so the bracket earns a row-0 record.
-  if (stopped_at <= 2 && stopped_at < chunk_entry_) {
-    return finish(lstart, typename LeafChunkManager<Traits>::HintResult{},
-                  /*earned=*/true);
-  }
-  const auto hr = cm.pred_hint(x, hw, c);
-  if (hr.covered && usable0(hr.node) && hr.node->ikey() >= lstart->ikey()) {
-    lstart = hr.node;  // the chunk got us closer than the descent did
-  }
-  return finish(lstart, hr, /*earned=*/false);
-}
-
-template <typename Traits>
 auto BasicSkipListEngine<Traits>::cursor_descend(Cursor& cur, Ikey x,
-                                                 StartFn fallback, void* env,
-                                                 LocateExact exact)
+                                                 StartFn fallback, void* env)
     -> Bracket {
-  if (chunks_ != nullptr) return chunked_read(cur, x, fallback, env, exact);
-  return cur.seek(x, /*cold_min_level=*/0, fallback, env, /*stop_level=*/0,
-                  /*stopped_at=*/nullptr, exact);
+  return cur.seek(x, /*cold_min_level=*/0, fallback, env);
 }
 
 template <typename Traits>
@@ -473,19 +257,10 @@ auto BasicSkipListEngine<Traits>::cursor_erase(Cursor& cur, Ikey x,
 template <typename Traits>
 auto BasicSkipListEngine<Traits>::fingered_descend(Ikey x, uint32_t min_level,
                                                    StartFn fallback, void* env,
-                                                   Node_t** hints,
-                                                   LocateExact exact)
+                                                   Node_t** hints)
     -> Bracket {
   Cursor cur(*this);
-  if (chunks_ != nullptr && min_level == 0 && hints == nullptr) {
-    // Pure read: the chunk-terminated path (DESIGN.md §7.2).  Callers that
-    // want per-level hints (or a minimum entry level) need the full
-    // descent — those are the write paths, which maintain the chunks
-    // instead of reading through them.
-    return chunked_read(cur, x, fallback, env, exact);
-  }
-  const Bracket b = cur.seek(x, min_level, fallback, env, /*stop_level=*/0,
-                             /*stopped_at=*/nullptr, exact);
+  const Bracket b = cur.seek(x, min_level, fallback, env);
   if (hints != nullptr) {
     std::copy(cur.hints(), cur.hints() + top_ + 1, hints);
   }
@@ -693,16 +468,6 @@ auto BasicSkipListEngine<Traits>::insert_from(Ikey x, uint32_t height,
   }
   res.root = root;
   res.inserted = true;
-  if (chunks_ != nullptr) {
-    // Post-linearization chunk maintenance (DESIGN.md §7.3).  The level-0
-    // predecessor's own chunk id is the natural locality hint; a head (or
-    // recycled) left yields hint 0 and the maintenance walks from the head
-    // chunk.
-    const uint32_t hw = b.left->kind() == NodeKind::kInterior
-                            ? b.left->chunkw.load(std::memory_order_relaxed)
-                            : 0;
-    chunks_->note_insert(x, root, hw);
-  }
 
   Node_t* below = root;
   for (uint32_t lvl = 1; lvl <= height; ++lvl) {
@@ -820,11 +585,6 @@ auto BasicSkipListEngine<Traits>::erase_from(Ikey x, Node_t** hints,
   list_search(x, hints[0], 0);
   if (won0) res.owned[res.owned_count++] = root;
   res.erased = true;
-  if (chunks_ != nullptr) {
-    // Post-linearization chunk maintenance: drop the key from its chunk
-    // (the node's own chunkw names it when the insert maintenance ran).
-    chunks_->note_erase(x, root->chunkw.load(std::memory_order_relaxed));
-  }
 
   if (had_top) {
     // Alg. 2 lines 4-7: repair the successor's prev pointer until the
@@ -837,138 +597,6 @@ auto BasicSkipListEngine<Traits>::erase_from(Ikey x, Node_t** hints,
       fix_prev(b.left, b.right);
       if (!is_marked(dcss_read(b.right->next))) break;
       bo.spin();  // successor is being deleted too; let its owner finish
-    }
-    res.top_left = l;
-  }
-  return res;
-}
-
-template <typename Traits>
-auto BasicSkipListEngine<Traits>::promote_tower(Ikey x, Node_t* root,
-                                                uint32_t to_height)
-    -> PromoteResult {
-  PromoteResult res;
-  if (to_height > top_) to_height = top_;
-  Node_t* hints[kMaxLevels + 1];
-  const Bracket b0 = descend(x, head_[top_], hints);
-  // The tower must still be THIS root, alive and unclaimed: pointer identity
-  // against the level-0 bracket rules out an erased-and-reinserted key, and
-  // the stop-word / mark checks rule out a delete in progress.  (A delete
-  // starting after these checks is fine — every raise below re-checks the
-  // stop word and is DCSS-guarded on it, exactly like insert's raises.)
-  if (b0.right != root ||
-      root->stopw.load(std::memory_order_seq_cst) != 0 ||
-      is_marked(dcss_read(root->next))) {
-    return res;
-  }
-  // Probe the tower's current height, collecting the topmost live node as
-  // the down-link for the first new level.  Heights are contiguous: insert
-  // raises bottom-up and demote sweeps top-down, so the first absent level
-  // ends the tower.
-  Node_t* below = root;
-  for (uint32_t lvl = 1; lvl <= top_; ++lvl) {
-    Node_t* left = hints[lvl];
-    Node_t* tn = find_tower_node(x, root, lvl, left);
-    hints[lvl] = left;
-    if (tn == nullptr) break;
-    below = tn;
-    res.new_height = lvl;
-  }
-  if (res.new_height >= to_height) return res;
-  for (uint32_t lvl = res.new_height + 1; lvl <= to_height; ++lvl) {
-    Node_t* n = make_node(x, lvl, to_height, below, root);
-    const RaiseStatus st = raise_level(root, n, x, lvl, hints[lvl]);
-    if (st == RaiseStatus::kStoppedPublished) {
-      // CAS-fallback top-level undo: caller trie-sweeps, then retires
-      // (identical to InsertResult::undone_top, DESIGN.md §3.5(5)).
-      res.undone_top = n;
-      return res;
-    }
-    if (st == RaiseStatus::kStoppedUnpublished) {
-      // Same disposal rule as insert_from: an unmarked n was never
-      // published; a marked one was undone inside raise_level (which
-      // already retired it).
-      if (!is_marked(n->next.load(std::memory_order_acquire))) {
-        n->poison();
-        arena_.recycle(n);
-      }
-      return res;
-    }
-    below = n;
-    res.new_height = lvl;
-    res.raised = true;
-  }
-  if (res.new_height == top_) {
-    res.top = below;
-    fix_prev(hints[top_], res.top);
-  }
-  return res;
-}
-
-template <typename Traits>
-auto BasicSkipListEngine<Traits>::demote_tower(Ikey x, Node_t* root,
-                                               uint32_t to_height)
-    -> EraseResult {
-  EraseResult res;
-  if (to_height >= top_) return res;
-  Node_t* hints[kMaxLevels + 1];
-  const Bracket b0 = descend(x, head_[top_], hints);
-  // Unlike erase, demotion must NOT claim the stop word: a concurrent erase
-  // losing its 0->1 claim returns "not present" while the key is still in
-  // the set — a linearizability violation.  Instead bail when a delete
-  // already owns the tower; a delete claiming AFTER this check just races
-  // the sweep below, which the mark-CAS ownership protocol already
-  // arbitrates (each node is retired by exactly one winner, and res.top is
-  // only reported by the top mark's winner).
-  if (b0.right != root || is_marked(dcss_read(root->next)) ||
-      root->stopw.load(std::memory_order_seq_cst) != 0) {
-    return res;
-  }
-  // Top-down sweep of the levels above to_height, repeated until a pass
-  // finds nothing (a still-running original insert's raise may relink a
-  // level mid-sweep; its raise loop is finite, so this terminates).  Level 0
-  // is never marked, preserving "an unmarked upper node implies the key is
-  // present" for the exact-exit validation (DESIGN.md §8.3).
-  for (;;) {
-    bool found_any = false;
-    for (int lvl = static_cast<int>(top_); lvl > static_cast<int>(to_height);
-         --lvl) {
-      Node_t* left = hints[lvl];
-      Node_t* tn = find_tower_node(x, root, static_cast<uint32_t>(lvl), left);
-      hints[lvl] = left;
-      if (tn == nullptr) continue;
-      found_any = true;
-      if (static_cast<uint32_t>(lvl) == top_) {
-        if (!tn->ready()) {
-          fix_prev(left, tn);  // Alg. 2: complete the insertion first
-        }
-        const bool won = mark_node(tn, left);
-        set_prev_mark(tn);
-        list_search(x, left, static_cast<uint32_t>(lvl));  // force unlink
-        if (won) {
-          res.top = tn;  // mark winner owns the trie sweep + retirement
-          res.owned[res.owned_count++] = tn;
-        }
-      } else {
-        const bool won = mark_node(tn, left);
-        list_search(x, left, static_cast<uint32_t>(lvl));
-        if (won) res.owned[res.owned_count++] = tn;
-      }
-    }
-    if (!found_any) break;
-  }
-  res.erased = res.owned_count > 0;
-  if (res.top != nullptr) {
-    // Successor prev repair, exactly as erase_from does after removing a
-    // top node (Alg. 2 lines 4-7).
-    Node_t* l = hints[top_];
-    Backoff bo;
-    for (int i = 0; i < kFixPrevRetries; ++i) {
-      Bracket b = list_search(x, l, top_);
-      l = b.left;
-      fix_prev(b.left, b.right);
-      if (!is_marked(dcss_read(b.right->next))) break;
-      bo.spin();
     }
     res.top_left = l;
   }

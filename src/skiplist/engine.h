@@ -26,37 +26,17 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "common/key_traits.h"
 #include "dcss/dcss.h"
 #include "reclaim/arena.h"
 #include "skiplist/finger.h"
-#include "skiplist/leaf.h"
 #include "skiplist/node.h"
 
 namespace skiptrie {
 
 template <typename Traits>
 class BasicDescentCursor;
-
-// Read-descent exact-match early exit (DESIGN.md §8.3).  With adaptive
-// tower heights a hot key's tower reaches an upper level, so a read descent
-// can observe its exact target ikey far above level 0; terminating there —
-// after validating the tower's *root* is unmarked, which is the operation's
-// linearization-relevant observation — is what converts a promotion into
-// saved descent hops.  kNone is the seed behavior (descend to level 0
-// unconditionally); the SkipTrie passes kNone whenever adaptation is off,
-// so the off configuration reproduces seed step counts exactly.
-enum class LocateExact : uint8_t {
-  kNone = 0,  // no early exit (seed behavior)
-  kRight,     // exit when an upper right neighbor has ikey == x
-              // (contains / successor / range scans: callers read .right)
-  kLeft,      // exit when an upper left neighbor has ikey == x - 1
-              // (predecessor / strict_predecessor: callers read .left —
-              //  no lower level can produce a larger left ikey)
-};
 
 template <typename Traits>
 class BasicSkipListEngine {
@@ -118,6 +98,7 @@ class BasicSkipListEngine {
   // level-0 bracket.  If hints != nullptr it receives the per-level left
   // nodes (size must be >= top_level()+1).  Finger-free (tests, internal
   // restarts); public operations route through the fingered entry points.
+  // perfbench's per-layer report also calls it directly; keep the signature.
   Bracket descend(Ikey x, Node_t* start, Node_t** hints = nullptr);
 
   // Insert ikey with tower height `height` (0..top_level), starting the
@@ -149,23 +130,23 @@ class BasicSkipListEngine {
   // rather than a bare level head — see cursor.h).
   using StartFn = Node_t* (*)(void* env, Ikey x);
 
-  Bracket cursor_descend(Cursor& cur, Ikey x, StartFn fallback, void* env,
-                         LocateExact exact = LocateExact::kNone);
+  Bracket cursor_descend(Cursor& cur, Ikey x, StartFn fallback, void* env);
   InsertResult cursor_insert(Cursor& cur, Ikey x, uint32_t height,
                              uint32_t cold_min_level, StartFn fallback,
                              void* env);
   EraseResult cursor_erase(Cursor& cur, Ikey x, StartFn fallback, void* env);
 
   // Single-key entry points: the batch_size = 1 degenerate case — each call
-  // runs one cold cursor through the seam above.
+  // runs one cold cursor through the seam above.  perfbench's per-layer
+  // report also calls fingered_descend directly; keep its signature.
   Bracket fingered_descend(Ikey x, uint32_t min_level, StartFn fallback,
-                           void* env, Node_t** hints = nullptr,
-                           LocateExact exact = LocateExact::kNone);
+                           void* env, Node_t** hints = nullptr);
   InsertResult fingered_insert(Ikey x, uint32_t height, StartFn fallback,
                                void* env);
   EraseResult fingered_erase(Ikey x, StartFn fallback, void* env);
 
   // The calling thread's finger for this engine (distinct per thread).
+  // finger() and cursor() are also timed by perfbench's empty-op span.
   Finger& finger() const { return tls_finger<Traits>(finger_owner_, top_); }
   // The calling thread's persistent cursor for this engine (same owner-id
   // keying; defined in engine.cpp).  Used by the batch API so consecutive
@@ -176,50 +157,6 @@ class BasicSkipListEngine {
   // no finger counters).  Not thread-safe against concurrent operations.
   void set_finger_enabled(bool on) { finger_on_ = on; }
   bool finger_enabled() const { return finger_on_; }
-
-  // Leaf chunking (DESIGN.md §7): read descents stop log2(K) levels above
-  // level 0 and finish through a chunk scan + validating list_search; writers
-  // maintain the chunk index post-linearization.  Off (the seed layout)
-  // reproduces per-level step counts exactly.  Like set_finger_enabled, not
-  // thread-safe against concurrent operations — configure before sharing.
-  void enable_leaf_chunking(bool on);
-  bool leaf_chunking_enabled() const { return chunks_ != nullptr; }
-  // The chunk manager, nullptr when chunking is off (structure_stats,
-  // validation, tests).
-  LeafChunkManager<Traits>* leaf_chunks() const { return chunks_.get(); }
-
-  // --- Adaptive tower heights: structural side (DESIGN.md §8) -------------
-  // Raising and lowering an existing tower.  The *policy* (when to do it)
-  // lives above the engine (skiplist/adaptive.h + core/skiptrie.cpp); these
-  // two methods are pure structure and ride the existing protocols: a
-  // promotion is exactly an insert-time raise replayed post-linearization
-  // (DCSS-guarded on the root's stop word, §3.4), a demotion is the
-  // delete-time top-down mark sweep restricted to the levels above
-  // `to_height` — crucially *without* claiming the stop word, so a
-  // concurrent erase still wins its 0->1 claim and linearizes correctly.
-  struct PromoteResult {
-    Node_t* top = nullptr;  // reached the top level: the caller must run the
-                            // x-fast prefix insertion (coverage invariant)
-    // CAS-fallback only: a top node linked then undone because a delete
-    // claimed the tower; caller trie-sweeps then retires (as InsertResult).
-    Node_t* undone_top = nullptr;
-    uint32_t new_height = 0;  // tower height after the call (probed)
-    bool raised = false;      // at least one level was added
-  };
-  // Raise root's tower (level-0 node of ikey x) to `to_height`.  No-op —
-  // with new_height reporting the probed height — when the tower is already
-  // tall enough, the root is no longer current (erased / re-inserted), its
-  // stop word is claimed, or a concurrent delete stops the raise midway.
-  PromoteResult promote_tower(Ikey x, Node_t* root, uint32_t to_height);
-
-  // Remove root's tower nodes above `to_height` (>= 1 stays; level 0 is
-  // never touched, preserving "upper node unmarked => key present").
-  // Returns the EraseResult shape: `erased` means at least one node was
-  // marked by this call, and — unlike erase, which owns the tower via the
-  // stop word — `top` is set ONLY when this call won the top node's mark
-  // CAS, so exactly one of a racing demote/erase pair runs the trie sweep
-  // and retires it.  Caller sweeps prefixes for `top`, then retire_owned().
-  EraseResult demote_tower(Ikey x, Node_t* root, uint32_t to_height);
 
   // Algorithm 1.  Installs node.prev via DCSS guarded on the predecessor
   // remaining unmarked and adjacent; sets node.ready on exit.
@@ -268,22 +205,9 @@ class BasicSkipListEngine {
   // level (callers pre-fill untraversed levels), records every traversed
   // bracket into the finger (when f != nullptr, stamped with `epoch`) and
   // into the cursor's rows (when rec != nullptr; hints is then rec's own
-  // left array).  `exact` != kNone enables the adaptive early exit
-  // (DESIGN.md §8.3); *exact_hit (when non-null) reports that the returned
-  // bracket came from such an exit (its far side is then the tower's
-  // level-0 root, not a node at the exit level).
+  // left array).
   Bracket descend_from(Ikey x, Node_t* cur, uint32_t lvl, Node_t** hints,
-                       Finger* f, uint64_t epoch, Cursor* rec = nullptr,
-                       uint32_t floor = 0,
-                       LocateExact exact = LocateExact::kNone,
-                       bool* exact_hit = nullptr);
-  // Chunk-terminated read descent (DESIGN.md §7.2): the body behind
-  // cursor_descend/fingered_descend when chunking is on.  Resolves a level-0
-  // start hint through (in order) the cursor's retained chunk id, the
-  // finger's chunk rows, or a descent stopped at chunk_entry_, then finishes
-  // with a validating list_search from the hinted node.
-  Bracket chunked_read(Cursor& cur, Ikey x, StartFn fallback, void* env,
-                       LocateExact exact = LocateExact::kNone);
+                       Finger* f, uint64_t epoch, Cursor* rec = nullptr);
   // Post-descent bodies shared by the plain and fingered entry points.
   InsertResult insert_from(Ikey x, uint32_t height, Node_t** hints,
                            Bracket b);
@@ -303,10 +227,6 @@ class BasicSkipListEngine {
   DcssContext ctx_;
   SlabArena& arena_;
   const uint32_t top_;
-  std::unique_ptr<LeafChunkManager<Traits>> chunks_;  // null = chunking off
-  // Level a chunk-terminated read may stop descending at: one chunk indexes
-  // ~K keys, the span of ~log2(K) skiplist levels.
-  uint32_t chunk_entry_ = 0;
   const uint64_t finger_owner_ = new_finger_owner();
   bool finger_on_ = true;
   Node_t* head_[kMaxLevels + 1];

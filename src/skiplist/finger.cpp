@@ -22,40 +22,6 @@ void BasicSearchFinger<Traits>::invalidate() {
     cursor_[l] = 0;
     for (uint32_t w = 0; w < kWays; ++w) e_[l][w] = Entry{};
   }
-  chunk_clock_ = 0;
-  for (uint32_t w = 0; w < kChunkWays; ++w) ce_[w] = ChunkEntry{};
-  leaf_clock_ = 0;
-  for (uint32_t w = 0; w < kLeafWays; ++w) le_[w] = Entry{};
-}
-
-template <typename Traits>
-uint32_t BasicSearchFinger<Traits>::try_chunk(Ikey x) {
-  for (uint32_t w = 0; w < kChunkWays; ++w) {
-    ChunkEntry& en = ce_[w];
-    if (en.idw == 0) continue;
-    if (!(en.base <= x && x < en.right)) continue;
-    en.ref = true;
-    return en.idw;
-  }
-  return 0;
-}
-
-template <typename Traits>
-void BasicSearchFinger<Traits>::record_chunk(uint32_t idw, Ikey base,
-                                             Ikey right) {
-  for (uint32_t w = 0; w < kChunkWays; ++w) {
-    if (ce_[w].idw == idw) {
-      ce_[w] = ChunkEntry{idw, base, right, /*ref=*/true};
-      return;
-    }
-  }
-  uint32_t v = chunk_clock_;
-  for (uint32_t i = 0; i < kChunkWays && ce_[v].ref; ++i) {
-    ce_[v].ref = false;
-    v = (v + 1) % kChunkWays;
-  }
-  chunk_clock_ = (v + 1) % kChunkWays;
-  ce_[v] = ChunkEntry{idw, base, right, /*ref=*/false};
 }
 
 template <typename Traits>
@@ -80,53 +46,6 @@ void BasicSearchFinger<Traits>::record(uint32_t lvl, Node_t* left,
   }
   cursor_[lvl] = (v + 1) % kWays;
   row[v] = Entry{left, left_ikey, right_ikey, epoch, /*ref=*/false};
-}
-
-template <typename Traits>
-auto BasicSearchFinger<Traits>::try_leaf(Ikey x, uint64_t now_epoch)
-    -> Node_t* {
-  for (uint32_t w = 0; w < kLeafWays; ++w) {
-    Entry& en = le_[w];
-    // The same screen stack as try_start's level-0 row: thread-local
-    // containment and epoch checks first, then identity validation against
-    // the (type-stable) node, then the use-time adjacency read.
-    if (en.left == nullptr) continue;
-    if (!(en.left_ikey < x && x <= en.right_ikey)) continue;
-    if (now_epoch - en.epoch > kMaxEpochLag) continue;
-    Node_t* n = en.left;
-    const NodeKind k = n->kind();
-    if (k != NodeKind::kInterior && k != NodeKind::kHead) continue;
-    if (n->level() != 0) continue;
-    if (n->ikey() != en.left_ikey) continue;
-    const uint64_t nw = dcss_read(n->next);
-    if (is_marked(nw)) continue;
-    Node_t* succ = unpack_ptr<Node_t>(nw);
-    if (succ == nullptr || succ->ikey() < x) continue;
-    en.ref = true;
-    // Promote one slot: hot entries sink toward the front, so their hits
-    // terminate the linear scan early.
-    if (w > 0) std::swap(le_[w], le_[w - 1]);
-    return n;
-  }
-  return nullptr;
-}
-
-template <typename Traits>
-void BasicSearchFinger<Traits>::record_leaf(Node_t* left, Ikey left_ikey,
-                                            Ikey right_ikey, uint64_t epoch) {
-  for (uint32_t w = 0; w < kLeafWays; ++w) {
-    if (le_[w].left != nullptr && le_[w].left_ikey == left_ikey) {
-      le_[w] = Entry{left, left_ikey, right_ikey, epoch, /*ref=*/true};
-      return;
-    }
-  }
-  uint32_t v = leaf_clock_;
-  for (uint32_t i = 0; i < kLeafWays && le_[v].ref; ++i) {
-    le_[v].ref = false;
-    v = (v + 1) % kLeafWays;
-  }
-  leaf_clock_ = (v + 1) % kLeafWays;
-  le_[v] = Entry{left, left_ikey, right_ikey, epoch, /*ref=*/false};
 }
 
 template <typename Traits>

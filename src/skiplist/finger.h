@@ -127,53 +127,6 @@ class BasicSearchFinger {
   // be called with the owner's EBR domain pinned.
   int try_start(Ikey x, uint32_t min_level, uint64_t now_epoch, Node_t** out);
 
-  // --- Leaf-chunk rows (DESIGN.md §7.2) ---------------------------------
-  // A separate small cache mapping key ranges to leaf-chunk ids.  One chunk
-  // indexes ~LeafChunkT::kKeys keys, so these ways cover a far larger slice
-  // of a hot set than the level-0 node ways do (64 ways x ~11 live keys ~
-  // 700 keys); chunk-terminated reads consult a level-0 row first (exact,
-  // scan-free) and fall back to a chunk way.  The stored [base, right)
-  // coverage is a purely thread-local pre-screen — the engine re-validates
-  // the id against live chunk state before trusting it, so a stale way
-  // costs one rejected probe, never an answer.  Misses scan every way with
-  // thread-local compares; 64 entries stay cache-resident.
-  static constexpr uint32_t kChunkWays = 64;
-  struct ChunkEntry {
-    uint32_t idw = 0;  // chunk id + 1; 0 = empty way
-    Ikey base = Ikey(0);
-    Ikey right = Ikey(0);
-    bool ref = false;  // second-chance bit, as in Entry
-  };
-
-  // Cached chunk id whose recorded coverage admits x (base <= x < right),
-  // or 0 on a miss.  Marks the serving way referenced.
-  uint32_t try_chunk(Ikey x);
-  // Remember that chunk `idw` covered [base, right); a same-id way is
-  // updated in place (keeping its second chance), else the clock evicts.
-  void record_chunk(uint32_t idw, Ikey base, Ikey right);
-
-  // Exact level-0 brackets for chunk-terminated reads: the same Entry
-  // payload and screens as the level-0 node row, but in a much wider
-  // dedicated ring.  A chunk-way hit still pays an in-chunk scan (~3 cache
-  // lines); a leaf-bracket hit re-enters level 0 for just the verify walk
-  // (~1-2 lines), so on skewed streams this ring is what makes the hot set
-  // cheaper than the chunkless finger's mid-level entries.  It is written
-  // only by reads that already hit some retained state (the frequency
-  // cascade applied to chunks — see chunked_read), never by the one-shot
-  // cold tail, which is why a ring this wide stays hot-resident.  Only
-  // chunked reads touch it: with chunking off the finger behaves exactly
-  // as before.
-  static constexpr uint32_t kLeafWays = 512;
-
-  // Leaf-bracket hit: validated level-0 left node of a remembered bracket
-  // containing x, or nullptr.  Same identity/epoch/adjacency screens as
-  // try_start; a hit is promoted one slot toward the front so hot entries
-  // cluster where the linear scan starts.
-  Node_t* try_leaf(Ikey x, uint64_t now_epoch);
-  // Remember a level-0 bracket; same-left_ikey entries update in place.
-  void record_leaf(Node_t* left, Ikey left_ikey, Ikey right_ikey,
-                   uint64_t epoch);
-
   // Drop every cached bracket but keep the owner binding.
   void invalidate();
 
@@ -182,10 +135,6 @@ class BasicSearchFinger {
   uint32_t levels_ = 0;  // min(top_level + 1, kLevels)
   uint32_t cursor_[kLevels] = {};
   Entry e_[kLevels][kWays];
-  uint32_t chunk_clock_ = 0;
-  ChunkEntry ce_[kChunkWays];
-  uint32_t leaf_clock_ = 0;
-  Entry le_[kLeafWays];
 };
 
 // The calling thread's finger for the engine identified by `owner` (ids

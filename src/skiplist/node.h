@@ -21,10 +21,6 @@
 //          "(right.prev, right.marked)" as one word.
 //   stopw  root only: set to 1 by the delete operation that claims the
 //          tower; tower raising is DCSS-guarded on stopw == 0 (paper §2).
-//   chunkw root only: 1 + the id of the leaf chunk this key was last indexed
-//          under (0 = none; DESIGN.md §7.2).  Pure hint — chunk lookups
-//          validate the id against the chunk table before use, so a stale or
-//          recycled value costs steps, never correctness.
 //   meta   packed {level, orig_height, kind, ready}; level/height/kind are
 //          written before publication and at poison time; the ready bit
 //          (top-level only: fixPrev has installed the prev pointer) is set
@@ -101,7 +97,6 @@ struct alignas(kCacheLine) NodeT {
   std::atomic<NodeT*> root_{nullptr};
   std::atomic<uint64_t> prevw{0};
   std::atomic<uint64_t> stopw{0};
-  std::atomic<uint32_t> chunkw{0};
   std::atomic<uint32_t> meta{0};  // level | orig_height<<8 | kind<<16
                                   //       | ready<<24
 
@@ -115,22 +110,6 @@ struct alignas(kCacheLine) NodeT {
   }
   uint32_t orig_height() const {
     return (meta.load(std::memory_order_relaxed) >> 8) & 0xffu;
-  }
-  // Rewrite the height byte (bits 8..15) in place.  On level-0 roots the
-  // byte starts as the deterministic draw and the adaptive-heights policy
-  // (DESIGN.md §8) maintains it as the tower's *current* height hint — a
-  // screen only, promote/demote re-probe the real tower under the adapt
-  // latch.  CAS loop (not a store) so a racing set_ready fetch_or on the
-  // same word is never clobbered.
-  void set_height_hint(uint32_t h) {
-    uint32_t m = meta.load(std::memory_order_relaxed);
-    for (;;) {
-      const uint32_t nm = (m & ~0xff00u) | ((h & 0xffu) << 8);
-      if (m == nm ||
-          meta.compare_exchange_weak(m, nm, std::memory_order_relaxed)) {
-        break;
-      }
-    }
   }
   NodeKind kind() const {
     return static_cast<NodeKind>(
@@ -150,7 +129,6 @@ struct alignas(kCacheLine) NodeT {
     root_.store(root, std::memory_order_relaxed);
     prevw.store(0, std::memory_order_relaxed);
     stopw.store(0, std::memory_order_relaxed);
-    chunkw.store(0, std::memory_order_relaxed);
     meta.store(level | (orig_height << 8) |
                    (static_cast<uint32_t>(kind) << 16),
                std::memory_order_release);
@@ -167,7 +145,6 @@ struct alignas(kCacheLine) NodeT {
     next.store(kMark, std::memory_order_relaxed);
     prevw.store(kMark, std::memory_order_relaxed);
     stopw.store(1, std::memory_order_relaxed);
-    chunkw.store(0, std::memory_order_relaxed);
     meta.store(0xffu | (static_cast<uint32_t>(NodeKind::kPoison) << 16),
                std::memory_order_release);
   }

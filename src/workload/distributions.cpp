@@ -62,10 +62,8 @@ uint64_t KeyGenerator::next_zipf() {
                    std::pow(eta_ * u - eta_ + 1.0, alpha_));
     if (rank > zipf_n_) rank = zipf_n_;
   }
-  // Scatter ranks over the key space deterministically.  The phase salt
-  // (set_phase) re-permutes the rank→key map per drift phase; 0 leaves the
-  // historical mapping untouched.
-  return mix64(rank ^ phase_salt_) % space_;
+  // Scatter ranks over the key space deterministically.
+  return mix64(rank) % space_;
 }
 
 uint64_t KeyGenerator::next() {

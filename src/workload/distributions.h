@@ -34,16 +34,6 @@ class KeyGenerator {
 
   uint64_t space() const { return space_; }
 
-  // Hot-set drift (schema v8).  The zipf generator scatters ranks over the
-  // key space through a fixed mix; the phase salt enters that mix, so
-  // changing it re-permutes which keys the low (hot) ranks land on while
-  // keeping the rank-frequency law itself intact.  Salt 0 reproduces the
-  // un-drifted stream bit-for-bit.  Every generator sharing a salt maps
-  // ranks to the same keys, so workers and the prefill pass agree on the
-  // hot set within a phase.  No effect on non-zipf distributions.
-  void set_phase(uint64_t salt) { phase_salt_ = salt; }
-  uint64_t phase() const { return phase_salt_; }
-
  private:
   uint64_t next_zipf();
 
@@ -56,7 +46,6 @@ class KeyGenerator {
   double alpha_;
   double eta_;
   uint64_t zipf_n_;
-  uint64_t phase_salt_ = 0;
   // clustered state
   std::vector<uint64_t> centers_;
   uint64_t cluster_span_;

@@ -76,16 +76,6 @@ struct WorkloadConfig {
   // record each sub-batch's wall time divided by its key count (amortized
   // per-key latency).
   uint32_t batch_size = 1;
-  // Hot-set drift (schema v8, DESIGN.md §8.1).  When true and dist is
-  // kZipf, every worker re-salts its generator's rank→key permutation at
-  // the 25/50/75% checkpoints of its own op stream, rotating which keys
-  // are hot three times per run.  All workers share the per-phase salt
-  // (derived from `seed` and the phase index), so they agree on the hot
-  // set within a phase; the prefill pass runs at phase 0, matching the
-  // first quarter.  Exercises the adaptive-height policy's demotion side:
-  // keys promoted in one phase go cold in the next.  No effect on other
-  // distributions or when false (the salt stays 0 = the historical map).
-  bool zipf_drift = false;
 };
 
 // Per-operation-type tallies: counts, hits, attributed search steps, and the
@@ -105,44 +95,15 @@ struct OpTypeStats {
   }
 };
 
-// Leaf-chunk checkpoint digest (schema v7, DESIGN.md §7.4).  Worker 0
-// samples the structure's LeafLiveStats at 25/50/75% of its own op stream
-// — cheap atomic reads, so mid-run sampling is safe — and the driver takes
-// one more sample after all workers stop.  min/max range over every sample
-// taken (checkpoints + final).  `samples` is 0 when the set type exposes no
-// leaf stats; chunking-off runs sample but report all-zero values.
-struct LeafCheckpoints {
-  uint32_t samples = 0;
-  uint64_t min_chunks = 0, max_chunks = 0, final_chunks = 0;
-  double min_occupancy = 0.0, max_occupancy = 0.0, final_occupancy = 0.0;
-
-  void fold(const LeafLiveStats& s, bool is_final) {
-    const double occ = s.avg_occupancy();
-    if (samples == 0 || s.chunks < min_chunks) min_chunks = s.chunks;
-    if (samples == 0 || s.chunks > max_chunks) max_chunks = s.chunks;
-    if (samples == 0 || occ < min_occupancy) min_occupancy = occ;
-    if (samples == 0 || occ > max_occupancy) max_occupancy = occ;
-    if (is_final) {
-      final_chunks = s.chunks;
-      final_occupancy = occ;
-    }
-    ++samples;
-  }
-};
-
-// Structural checkpoint digest (schema v8, DESIGN.md §8.4).  Same sampling
-// seam as LeafCheckpoints: worker 0 reads StructureLiveStats — four relaxed
-// atomic loads — at 25/50/75% of its own stream, plus one final sample at
-// quiescence.  min/max top-level population over every sample chart how the
-// adaptive policy reshapes the structure mid-run; the final
-// promotion/demotion totals are the policy's cumulative activity.  `samples`
-// is 0 when the set type exposes no structure stats; adaptation-off runs
-// sample but report zero promotions/demotions.
+// Structural checkpoint digest (DESIGN.md §5.5).  Worker 0 reads
+// StructureLiveStats — two relaxed atomic loads, cheap enough inside the
+// timed phase — at 25/50/75% of its own stream, and the driver takes one
+// final sample at quiescence.  min/max range over every sample taken.
+// `samples` is 0 when the set type exposes no structure stats.
 struct StructureCheckpoints {
   uint32_t samples = 0;
   uint64_t min_top = 0, max_top = 0, final_top = 0;
   uint64_t final_keys = 0;
-  uint64_t final_promotions = 0, final_demotions = 0;
 
   void fold(const StructureLiveStats& s, bool is_final) {
     if (samples == 0 || s.top_count < min_top) min_top = s.top_count;
@@ -150,8 +111,6 @@ struct StructureCheckpoints {
     if (is_final) {
       final_top = s.top_count;
       final_keys = s.keys;
-      final_promotions = s.promotions;
-      final_demotions = s.demotions;
     }
     ++samples;
   }
@@ -166,7 +125,6 @@ struct WorkloadResult {
   uint64_t lookups = 0, lookup_hits = 0;
   StepCounters steps;
   OpTypeStats by_type[kOpTypeCount];
-  LeafCheckpoints leaf;
   StructureCheckpoints structure;
 
   const OpTypeStats& of(OpType t) const {
@@ -215,13 +173,6 @@ concept HasBatchApi = requires(Set& s, const Set& cs, const uint64_t* k,
   { cs.predecessor_batch(k, n, p) } -> std::convertible_to<size_t>;
 };
 
-// Detects the mid-run-safe leaf-chunk sampler (SkipTrie and ShardedEngine
-// expose it; the baselines do not and skip checkpointing entirely).
-template <typename Set>
-concept HasLeafStats = requires(const Set& cs) {
-  { cs.leaf_live_stats() } -> std::convertible_to<LeafLiveStats>;
-};
-
 // Detects the mid-run-safe structural sampler (SkipTrie and ShardedEngine
 // expose it; the baselines do not and skip structure checkpointing).
 template <typename Set>
@@ -252,9 +203,8 @@ WorkloadResult run_workload(Set& set, const WorkloadConfig& cfg) {
 
   WorkloadResult result;
   std::mutex agg_mu;
-  // Mid-run checkpoints (schema v7/v8): written by worker 0 only, read by
-  // the main thread after join — no locking needed.
-  std::vector<LeafLiveStats> leaf_samples;
+  // Mid-run checkpoints: written by worker 0 only, read by the main thread
+  // after join — no locking needed.
   std::vector<StructureLiveStats> structure_samples;
   SpinBarrier barrier(cfg.threads + 1);
   std::vector<std::thread> threads;
@@ -296,13 +246,7 @@ WorkloadResult run_workload(Set& set, const WorkloadConfig& cfg) {
         }
         return OpType::kLookup;
       };
-      // 25/50/75% checkpoints over each worker's own op stream.  Worker 0
-      // samples the mid-run-safe stats there (a few relaxed atomic loads,
-      // cheap enough inside the timed phase); with zipf drift on, EVERY
-      // worker re-salts its generator at the same stream offsets, so the
-      // hot set rotates coherently across threads (same per-phase salt,
-      // reached at the same per-worker op index).
-      const bool drift = cfg.zipf_drift && cfg.dist == KeyDist::kZipf;
+      // 25/50/75% checkpoints over worker 0's own op stream.
       const uint64_t cp_at[3] = {
           cfg.ops_per_thread / 4, cfg.ops_per_thread / 2,
           cfg.ops_per_thread / 4 * 3};
@@ -312,18 +256,12 @@ WorkloadResult run_workload(Set& set, const WorkloadConfig& cfg) {
       const StepCounters before = tls;
       for (uint64_t i = 0; i < cfg.ops_per_thread;) {
         while (next_cp < 3 && i >= cp_at[next_cp]) {
-          if (t == 0) {
-            if constexpr (HasLeafStats<Set>) {
-              leaf_samples.push_back(set.leaf_live_stats());
-            }
-            if constexpr (HasStructureLive<Set>) {
+          if constexpr (HasStructureLive<Set>) {
+            if (t == 0) {
               structure_samples.push_back(set.structure_live_stats());
             }
           }
           ++next_cp;
-          // Phase salts 1..3 are shared by construction: every worker
-          // derives them from (cfg.seed, phase index) alone.
-          if (drift) gen.set_phase(mix64(cfg.seed ^ (0xd41f0000ull + next_cp)));
         }
         if constexpr (HasBatchApi<Set>) {
           if (use_batch) {
@@ -429,10 +367,6 @@ WorkloadResult run_workload(Set& set, const WorkloadConfig& cfg) {
   barrier.arrive_and_wait();  // wait for the op phase to finish
   for (auto& th : threads) th.join();
 
-  if constexpr (HasLeafStats<Set>) {
-    for (const LeafLiveStats& s : leaf_samples) result.leaf.fold(s, false);
-    result.leaf.fold(set.leaf_live_stats(), true);
-  }
   if constexpr (HasStructureLive<Set>) {
     for (const StructureLiveStats& s : structure_samples) {
       result.structure.fold(s, false);

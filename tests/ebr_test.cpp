@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -145,6 +146,32 @@ TEST(Ebr, GuardAllowsConcurrentReadersProgress) {
   }
   for (auto& th : ts) th.join();
   EXPECT_EQ(total.load(), 8u * 5000u);
+}
+
+// kMaxThreads threads hold a pin; one more thread registering must abort
+// with a message naming the limit, in every build (not index past the slot
+// table).
+void pin_one_past_the_limit() {
+  EbrDomain dom;
+  std::latch pinned(EbrDomain::kMaxThreads);
+  std::latch release(1);
+  std::vector<std::thread> ts;
+  for (uint32_t t = 0; t < EbrDomain::kMaxThreads; ++t) {
+    ts.emplace_back([&] {
+      EbrDomain::Guard g(dom);
+      pinned.count_down();
+      release.wait();
+    });
+  }
+  pinned.wait();
+  EbrDomain::Guard g(dom);  // thread kMaxThreads + 1
+  release.count_down();
+  for (auto& th : ts) th.join();
+}
+
+TEST(EbrDeathTest, ThreadPastMaxThreadsAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(pin_one_past_the_limit(), "kMaxThreads = 192");
 }
 
 }  // namespace

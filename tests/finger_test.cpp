@@ -150,12 +150,7 @@ TEST_F(FingerUnitTest, TlsFingerIsKeyedByOwnerId) {
 // --- Engine-level behaviour -------------------------------------------------
 
 TEST(FingerEngineTest, RepeatedQueriesHitAndSkipTheFallback) {
-  // Repeated queries to one key are exactly what the adaptive-height
-  // policy promotes on; its promotion descent would inject hash probes
-  // into the window this test pins at zero, so pin the policy off.
-  Config cfg;
-  cfg.adaptive_heights = false;
-  SkipTrie t(cfg);
+  SkipTrie t;
   for (uint64_t k = 0; k < 512; ++k) t.insert(k * 16);
 
   // A fresh thread starts with a cold finger (fingers are thread-local),

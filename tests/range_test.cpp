@@ -197,55 +197,5 @@ TEST(Range, LargeUniverseRange) {
   EXPECT_EQ(t.max_key_present().value(), base + 297);
 }
 
-// Range scans crossing leaf-chunk boundaries (DESIGN.md §7): the scan runs
-// on the authoritative level-0 list, so chunk seams must be invisible.  A
-// dense run wide enough for many chunks is scanned at every alignment
-// around each seam — starting on a chunk's last key, its successor chunk's
-// base, one key before and one past — and after a draining erase pattern
-// that forces merges, the same windows must stay exact.
-TEST(Range, ChunkBoundaryScans) {
-  SkipTrie t(cfg16());
-  ASSERT_NE(t.engine().leaf_chunks(), nullptr);
-  constexpr uint64_t kKeys = 600;  // dozens of chunks at K = 16
-  for (uint64_t k = 0; k < kKeys; ++k) ASSERT_TRUE(t.insert(k));
-
-  // Collect the chunk base keys (ikey = key + 1) while quiescent.
-  std::vector<uint64_t> bases;
-  t.engine().leaf_chunks()->for_each_chunk([&](const auto& ch) {
-    if (ch.base.load() != 0) bases.push_back(ch.base.load() - 1);
-  });
-  ASSERT_GT(bases.size(), 4u) << "expected many chunks over " << kKeys
-                              << " dense keys";
-
-  auto window = [&](uint64_t lo, uint64_t hi) {
-    std::vector<uint64_t> got;
-    t.for_each_in_range(lo, hi, [&](uint64_t k) { got.push_back(k); });
-    return got;
-  };
-  for (const uint64_t b : bases) {
-    for (const uint64_t lo : {b > 1 ? b - 2 : 0, b > 0 ? b - 1 : 0, b}) {
-      const uint64_t hi = b + 2 < kKeys ? b + 2 : kKeys - 1;
-      std::vector<uint64_t> expect;
-      for (uint64_t k = lo; k <= hi; ++k)
-        if (k < kKeys) expect.push_back(k);
-      EXPECT_EQ(window(lo, hi), expect) << "seam at " << b;
-    }
-  }
-
-  // Drain to every 16th key (forces merges), then re-check a full scan and
-  // the windows around the old seams.
-  for (uint64_t k = 0; k < kKeys; ++k)
-    if (k % 16 != 0) ASSERT_TRUE(t.erase(k));
-  EXPECT_EQ(t.count_range(0, kKeys - 1), (kKeys + 15) / 16);
-  for (const uint64_t b : bases) {
-    const uint64_t lo = b > 17 ? b - 17 : 0;
-    const uint64_t hi = b + 17 < kKeys ? b + 17 : kKeys - 1;
-    std::vector<uint64_t> expect;
-    for (uint64_t k = lo; k <= hi; ++k)
-      if (k % 16 == 0) expect.push_back(k);
-    EXPECT_EQ(window(lo, hi), expect) << "post-merge seam at " << b;
-  }
-}
-
 }  // namespace
 }  // namespace skiptrie

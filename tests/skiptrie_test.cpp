@@ -5,8 +5,10 @@
 
 #include <optional>
 #include <set>
+#include <stdexcept>
 
 #include "common/bitops.h"
+#include "common/key_traits.h"
 #include "common/random.h"
 #include "core/validate.h"
 
@@ -224,6 +226,35 @@ TEST(SkipTrie, MinimalUniverse) {
   }
   const auto errors = validate_structure(t);
   EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
+}
+
+// Universe edges for both key traits: B = 4 and B = kMaxBits hold their
+// extreme keys; one bit outside either end is rejected with
+// std::invalid_argument before any member is built, in every build.
+template <typename Traits>
+class UniverseBits : public ::testing::Test {};
+using UniverseTraits = ::testing::Types<U64Traits, Bytes16Traits>;
+TYPED_TEST_SUITE(UniverseBits, UniverseTraits);
+
+TYPED_TEST(UniverseBits, EdgesAcceptedAndOutOfRangeThrows) {
+  using Trie = BasicSkipTrie<TypeParam>;
+  using K = typename TypeParam::key_type;
+  for (const uint32_t bits : {4u, TypeParam::kMaxBits}) {
+    Config c;
+    c.universe_bits = bits;
+    Trie t(c);
+    const K top = t.max_key();
+    EXPECT_TRUE(t.insert(K(0))) << "B=" << bits;
+    EXPECT_TRUE(t.insert(top)) << "B=" << bits;
+    EXPECT_TRUE(t.contains(K(0))) << "B=" << bits;
+    EXPECT_EQ(t.predecessor(top).value(), top) << "B=" << bits;
+    EXPECT_EQ(t.strict_predecessor(top).value(), K(0)) << "B=" << bits;
+  }
+  for (const uint32_t bits : {3u, TypeParam::kMaxBits + 1}) {
+    Config c;
+    c.universe_bits = bits;
+    EXPECT_THROW(Trie t(c), std::invalid_argument) << "B=" << bits;
+  }
 }
 
 }  // namespace

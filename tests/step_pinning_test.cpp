@@ -74,14 +74,6 @@ constexpr PhaseGoldens kBits64 = {
 void run_pinned(uint32_t bits, const PhaseGoldens& want) {
   Config cfg;
   cfg.universe_bits = bits;
-  // The goldens pin the seed layout: leaf chunking reshapes the read path
-  // (chunk scans replace low-level hops), so it is pinned off here and its
-  // on/off equivalence is covered by leaf_chunk_test's ablation cases.
-  cfg.leaf_chunking = false;
-  // Adaptive heights likewise change the layout mid-run (promotions raise
-  // towers above their deterministic draw); off reproduces the seed layout
-  // bit-for-bit, which is exactly what these goldens pin.
-  cfg.adaptive_heights = false;
   SkipTrie t(cfg);
   const uint64_t maxk = t.max_key();
   Xoshiro256 rng(42);

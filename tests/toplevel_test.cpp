@@ -179,141 +179,6 @@ TEST_F(TopLevelTest, WalkLeftCrossesMarkedViaBack) {
   EXPECT_EQ(res, a);
 }
 
-// --- Adaptive promotion / demotion at the engine seam (DESIGN.md §8.2) -----
-
-TEST_F(TopLevelTest, PromoteTowerRaisesRootOnlyTowerToTop) {
-  EbrDomain::Guard g(ebr_);
-  insert_top(10);
-  insert_top(50);
-  const auto r = eng_.insert(ik(30), eng_.head(2), 0);  // root-only tower
-  ASSERT_TRUE(r.inserted);
-  ASSERT_EQ(r.top, nullptr);
-  ASSERT_EQ(find_at(30, 1), nullptr);
-
-  const auto pr = eng_.promote_tower(ik(30), r.root, 2);
-  EXPECT_TRUE(pr.raised);
-  EXPECT_EQ(pr.new_height, 2u);
-  ASSERT_NE(pr.top, nullptr);
-  EXPECT_EQ(pr.undone_top, nullptr);
-  EXPECT_NE(find_at(30, 1), nullptr);
-  EXPECT_EQ(find_at(30, 2), pr.top);
-  EXPECT_EQ(pr.top->root(), r.root);
-  // Promotion ran fix_prev for the new top node (successor prev stays a
-  // hint, exactly as for insert — Fig. 2 tolerates the gap).
-  EXPECT_TRUE(pr.top->ready());
-  EXPECT_EQ(unpack_ptr<Node>(pr.top->prevw.load())->ikey(), ik(10));
-}
-
-TEST_F(TopLevelTest, PromoteTowerBailsOnErasedTower) {
-  EbrDomain::Guard g(ebr_);
-  const auto r = eng_.insert(ik(30), eng_.head(2), 0);
-  ASSERT_TRUE(r.inserted);
-  auto er = eng_.erase(ik(30), eng_.head(2));
-  ASSERT_TRUE(er.erased);
-  // The root is marked (and claimed); promotion must refuse to touch it.
-  const auto pr = eng_.promote_tower(ik(30), r.root, 2);
-  EXPECT_FALSE(pr.raised);
-  EXPECT_EQ(pr.top, nullptr);
-  EXPECT_EQ(pr.undone_top, nullptr);
-  eng_.retire_owned(er);
-}
-
-TEST_F(TopLevelTest, DemoteTowerSweepsUpperLevelsKeepsLevelZero) {
-  EbrDomain::Guard g(ebr_);
-  insert_top(10);
-  Node* t20 = insert_top(20);
-  insert_top(30);
-  const auto before = eng_.list_search(ik(20), eng_.head(0), 0);
-  ASSERT_EQ(before.right->ikey(), ik(20));
-  Node* root = before.right;
-
-  auto dr = eng_.demote_tower(ik(20), root, 0);
-  EXPECT_TRUE(dr.erased);
-  EXPECT_EQ(dr.top, t20);  // this call won the top mark, so it owns the sweep
-  EXPECT_GT(dr.owned_count, 0u);
-  // Levels 1..top no longer carry the key; level 0 still does, unmarked —
-  // the key never left the set (DESIGN.md §8.2: demotion is not deletion).
-  EXPECT_EQ(find_at(20, 1), nullptr);
-  EXPECT_EQ(find_at(20, 2), nullptr);
-  const auto after = eng_.list_search(ik(20), eng_.head(0), 0);
-  EXPECT_EQ(after.right, root);
-  EXPECT_FALSE(is_marked(dcss_read(root->next)));
-  // Successor prev repair ran: 30.prev skips the demoted node.
-  EXPECT_EQ(unpack_ptr<Node>(find_at(30, 2)->prevw.load())->ikey(), ik(10));
-  eng_.retire_owned(dr);
-}
-
-TEST_F(TopLevelTest, DemoteTowerToIntermediateLevelStopsThere) {
-  EbrDomain::Guard g(ebr_);
-  insert_top(20);
-  const auto b = eng_.list_search(ik(20), eng_.head(0), 0);
-  auto dr = eng_.demote_tower(ik(20), b.right, 1);
-  EXPECT_TRUE(dr.erased);
-  EXPECT_EQ(find_at(20, 2), nullptr);
-  EXPECT_NE(find_at(20, 1), nullptr);  // floor level survives
-  eng_.retire_owned(dr);
-}
-
-TEST_F(TopLevelTest, DemoteTowerAfterEraseOwnsNothing) {
-  EbrDomain::Guard g(ebr_);
-  insert_top(20);
-  const auto b = eng_.list_search(ik(20), eng_.head(0), 0);
-  Node* root = b.right;
-  auto er = eng_.erase(ik(20), eng_.head(2));
-  ASSERT_TRUE(er.erased);
-  // The erase won every mark; a late demotion must not claim ownership of
-  // anything (no double retirement) and must not report a top win.
-  auto dr = eng_.demote_tower(ik(20), root, 0);
-  EXPECT_FALSE(dr.erased);
-  EXPECT_EQ(dr.top, nullptr);
-  EXPECT_EQ(dr.owned_count, 0u);
-  eng_.retire_owned(er);
-}
-
-TEST_F(TopLevelTest, DemoteRacingEraseEachNodeRetiredOnce) {
-  // The mark-CAS ownership protocol must hand every tower node to exactly
-  // one of a racing {demote, erase} pair; double retirement would corrupt
-  // the arena (caught by asan CI legs, asserted here by owned-set
-  // disjointness).
-  constexpr uint64_t kKeys = 200;
-  for (uint64_t k = 1; k <= kKeys; ++k) {
-    EbrDomain::Guard g(ebr_);
-    insert_top(k * 3);
-  }
-  std::atomic<uint64_t> demote_owned{0}, erase_owned{0}, top_wins{0};
-  std::thread demoter([&] {
-    EbrDomain::Guard g(ebr_);
-    for (uint64_t k = 1; k <= kKeys; ++k) {
-      const auto b = eng_.list_search(ik(k * 3), eng_.head(0), 0);
-      if (b.right->ikey() != ik(k * 3)) continue;
-      auto dr = eng_.demote_tower(ik(k * 3), b.right, 0);
-      demote_owned += dr.owned_count;
-      if (dr.top != nullptr) top_wins++;
-      eng_.retire_owned(dr);
-    }
-  });
-  std::thread eraser([&] {
-    EbrDomain::Guard g(ebr_);
-    for (uint64_t k = 1; k <= kKeys; ++k) {
-      auto er = eng_.erase(ik(k * 3), eng_.head(2));
-      erase_owned += er.owned_count;
-      if (er.top != nullptr) top_wins++;
-      eng_.retire_owned(er);
-    }
-  });
-  demoter.join();
-  eraser.join();
-  // Every erase eventually succeeds (demotion never removes level 0), every
-  // key is gone, and each top node was won exactly once across both sides.
-  EbrDomain::Guard g(ebr_);
-  EXPECT_EQ(eng_.first_at(0), nullptr);
-  EXPECT_EQ(eng_.first_at(2), nullptr);
-  EXPECT_EQ(top_wins.load(), kKeys);
-  // 3 nodes per tower (levels 0..2); level-0 nodes are only ever owned by
-  // the erase side, upper nodes by exactly one side each.
-  EXPECT_EQ(demote_owned.load() + erase_owned.load(), kKeys * 3);
-}
-
 TEST_F(TopLevelTest, ConcurrentInsertsKeepPrevChainConsistent) {
   constexpr int kThreads = 4;
   constexpr uint64_t kPer = 300;

@@ -2,20 +2,15 @@
 """Diff two BENCH_suite.json files on step counts and probe counters.
 
 Joins the "cells" arrays on (section, structure, universe_bits, threads,
-mix, dist, batch_size, shards, key_kind, leaf_chunking, adaptive_heights,
-zipf_drift, repeat) — the stable key documented in README "Benchmarks";
-batch_size and shards default to 1, key_kind to "u64", leaf_chunking to
-true, and adaptive_heights / zipf_drift to false for files that predate
-them — and reports, per matched cell, the relative change in:
+mix, dist, batch_size, shards, key_kind, repeat) — the stable key
+documented in README "Benchmarks"; batch_size and shards default to 1 and
+key_kind to "u64" for files that predate them — and reports, per matched
+cell, the relative change in:
 
   - steps_per_op.search and steps_per_op.total
   - per-op rates of the probe counters (hash_probes, probes_lookup,
     probes_chain, probes_binsearch, node_hops, walk_fallbacks, restarts)
   - per_op.predecessor.search_steps_per_op when present
-  - per-op rates of the schema-v7 leaf counters (bytes_touched,
-    chunk_scans) on single-thread u64 cells only — the gated fast path
-    where the modeled byte counts are deterministic; multi-thread and
-    bytes16 cells stay report-only
 
 A change worse than --threshold (default 10%) counts as a regression.
 Wall-clock metrics (mops, latency) are intentionally NOT compared: they
@@ -26,14 +21,11 @@ Designed to run as a non-fatal CI report step:
 
     tools/compare_bench.py BENCH_suite.json build/BENCH_suite_quick.json
 
-Schema: accepts v1 through v8 files; counters missing from an older file
-are skipped (reported as "new"), never treated as zero.  Pre-v7 cells
-join v7 cells as leaf_chunking=true (the default layout); chunking-off
-cells are a v7-only axis and never match an older file.  Pre-v8 cells
-join v8 cells as adaptive_heights=false / zipf_drift=false (the policy
-and the drift mode did not exist, so off is behavior-accurate);
-adaptive-on cells are new measurement points and never match an older
-file.
+Schema: accepts v1 through v9 files; counters missing from an older file
+are skipped (reported as "new"), never treated as zero.  The v7/v8
+ablation axes were dropped in v9 together with the layers they toggled;
+v7/v8 cells join v9 cells on the remaining axes, and cells of the deleted
+ablation sections match nothing.
 
 `--self-test` runs the built-in join unit test (no input files needed);
 it is registered in ctest so the cross-version join cannot bit-rot.
@@ -44,21 +36,13 @@ import json
 import sys
 
 JOIN_KEY = ("section", "structure", "universe_bits", "threads", "mix",
-            "dist", "batch_size", "shards", "key_kind", "leaf_chunking",
-            "adaptive_heights", "zipf_drift", "repeat")
+            "dist", "batch_size", "shards", "key_kind", "repeat")
 
 # Per-key defaults applied when a file predates an axis, so older suites
 # still join cleanly (batch_size was introduced in schema v4, shards in v5,
-# key_kind in v6, leaf_chunking in v7, adaptive_heights and zipf_drift in
-# v8; every earlier cell was implicitly unbatched, unsharded and u64-keyed,
-# and ran whatever the default engine layout of its era was — which the v7
-# suite records as its leaf_chunking=true cells, so that is the side pre-v7
-# cells join.  adaptive_heights defaults FALSE, not the shipped v8 default:
-# pre-v8 binaries had no height policy at all, and off reproduces that
-# layout bit for bit, so false is the behavior-accurate fill.)
-JOIN_DEFAULTS = {"batch_size": 1, "shards": 1, "key_kind": "u64",
-                 "leaf_chunking": True, "adaptive_heights": False,
-                 "zipf_drift": False}
+# key_kind in v6; every earlier cell was implicitly unbatched, unsharded and
+# u64-keyed).
+JOIN_DEFAULTS = {"batch_size": 1, "shards": 1, "key_kind": "u64"}
 
 # Note: the finger counters (finger_hits/misses, hops_finger_saved) are
 # intentionally absent — a hit-rate shift is not by itself a regression;
@@ -68,23 +52,12 @@ JOIN_DEFAULTS = {"batch_size": 1, "shards": 1, "key_kind": "u64",
 # stream means retained brackets stopped serving — a silent constant
 # regression); cursor_reuses is its complement and "more is better", which
 # this worse-when-higher comparator cannot express, so it stays report-only.
-# The schema-v8 policy counters (adapt_checks, promotions, demotions) are
-# likewise excluded from rate gating: they tally policy activity, which
-# scales with workload skew, not with code quality — more promotions on a
-# hotter stream is the policy working, not a regression.
+# bytes_touched is a fixed multiple of the hop and guide-pointer counts
+# (DESIGN.md §5.5), so gating it would double count node_hops.
 RATE_COUNTERS = ("hash_probes", "probes_lookup", "probes_chain",
                  "probes_binsearch", "node_hops", "hops_top",
                  "hops_descent", "walk_fallbacks", "restarts",
                  "cursor_redescends")
-
-# Schema-v7 leaf counters, compared only on single-thread u64 cells: the
-# modeled bytes_touched / chunk_scans rates are deterministic there, while
-# under concurrency the seqlock retry and maintenance-skip paths make them
-# interleaving-dependent (and the bytes16 instantiation is still
-# report-only, like its step counts).  chunk_splits / chunk_merges are
-# intentionally absent: their rate is a property of the key stream's churn,
-# not a cost, and "more merges" is not by itself worse.
-LEAF_RATE_COUNTERS = ("bytes_touched", "chunk_scans")
 
 
 def cells_of(doc):
@@ -167,71 +140,8 @@ def self_test():
     kept6 = [k for k in cand6 if k[ki] == "u64"]
     assert len(kept6) == 1, "--key-kind u64 must drop both bytes16 cells"
 
-    # v6 -> v7: the leaf_chunking axis.  A v6 cell (no leaf_chunking key)
-    # joins exactly the v7 cell with leaf_chunking == True; the chunking-off
-    # twin must stay unmatched.  The v7 leaf counters are compared on the
-    # single-thread u64 cell and suppressed on a 4-thread twin.
-    v6b = {"schema_version": 6, "cells": [
-        cell(batch_size=1, shards=1, key_kind="u64"),
-    ]}
-    v7 = {"schema_version": 7, "cells": [
-        cell(batch_size=1, shards=1, key_kind="u64", leaf_chunking=True,
-             steps={"node_hops": 300, "hash_probes": 200,
-                    "bytes_touched": 6400, "chunk_scans": 60}),
-        cell(batch_size=1, shards=1, key_kind="u64", leaf_chunking=False),
-        cell(batch_size=1, shards=1, key_kind="u64", leaf_chunking=True,
-             threads=4,
-             steps={"node_hops": 300, "bytes_touched": 6400}),
-    ]}
-    cand7 = cells_of(v7)
-    shared7 = set(cells_of(v6b)) & set(cand7)
-    li = JOIN_KEY.index("leaf_chunking")
-    assert len(shared7) == 1 and next(iter(shared7))[li] is True, \
-        "a pre-v7 cell must join exactly the leaf_chunking=True v7 cell"
-    m1 = metrics_of(cand7[next(iter(shared7))])
-    assert abs(m1["steps.bytes_touched/op"] - 64.0) < 1e-9
-    assert "steps.chunk_scans/op" in m1
-    mt = metrics_of(next(c for c in v7["cells"] if c.get("threads") == 4))
-    assert "steps.bytes_touched/op" not in mt, \
-        "leaf counters must be gated off multi-thread cells"
-
-    # v7 -> v8: the adaptive_heights / zipf_drift axes.  A v7 cell (neither
-    # key present) joins exactly the v8 cell with adaptive_heights == False
-    # and zipf_drift == False; the adaptive-on twin and the drift twin must
-    # stay unmatched, and the v8 policy counters must never enter the gated
-    # metric set.
-    v7b = {"schema_version": 7, "cells": [
-        cell(batch_size=1, shards=1, key_kind="u64", leaf_chunking=True),
-    ]}
-    v8 = {"schema_version": 8, "cells": [
-        cell(batch_size=1, shards=1, key_kind="u64", leaf_chunking=True,
-             adaptive_heights=False, zipf_drift=False),
-        cell(batch_size=1, shards=1, key_kind="u64", leaf_chunking=True,
-             adaptive_heights=True, zipf_drift=False,
-             steps={"node_hops": 250, "hash_probes": 200,
-                    "adapt_checks": 12, "promotions": 3, "demotions": 1}),
-        cell(batch_size=1, shards=1, key_kind="u64", leaf_chunking=True,
-             adaptive_heights=True, zipf_drift=True),
-    ]}
-    cand8 = cells_of(v8)
-    shared8 = set(cells_of(v7b)) & set(cand8)
-    ai = JOIN_KEY.index("adaptive_heights")
-    di = JOIN_KEY.index("zipf_drift")
-    assert len(shared8) == 1, \
-        "a pre-v8 cell must join exactly one v8 cell, got %d" % len(shared8)
-    k8 = next(iter(shared8))
-    assert k8[ai] is False and k8[di] is False, \
-        "a pre-v8 cell must join the adaptive_heights=False/zipf_drift=False" \
-        " v8 cell"
-    m8 = metrics_of(next(c for c in v8["cells"] if c.get("adaptive_heights")
-                         and not c.get("zipf_drift")))
-    assert not any("promotions" in n or "demotions" in n or
-                   "adapt_checks" in n for n in m8), \
-        "policy counters must be excluded from rate gating"
-    print("compare_bench --self-test: ok (join v4->v5->v6->v7->v8, "
-          "shards/key_kind/leaf_chunking/adaptive_heights defaults, "
-          "--max-shards/--key-kind filters, single-thread leaf-counter "
-          "gate, policy-counter exclusion)")
+    print("compare_bench --self-test: ok (join v4->v5->v6, shards/key_kind "
+          "defaults, --max-shards/--key-kind filters)")
     return 0
 
 
@@ -248,11 +158,6 @@ def metrics_of(cell):
         for name in RATE_COUNTERS:
             if name in steps:
                 out["steps.%s/op" % name] = steps[name] / ops
-        if (cell.get("threads", 1) == 1 and
-                cell.get("key_kind", "u64") == "u64"):
-            for name in LEAF_RATE_COUNTERS:
-                if name in steps:
-                    out["steps.%s/op" % name] = steps[name] / ops
     pred = cell.get("per_op", {}).get("predecessor")
     if pred and "search_steps_per_op" in pred:
         out["per_op.predecessor.search_steps_per_op"] = \

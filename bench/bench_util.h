@@ -332,7 +332,7 @@ inline std::string git_rev(const Args& args) {
 //       hash_dummies, hash_load_factor}.  Purely additive — v1 consumers
 //       keep working on every key they knew about.
 //   v3  hop attribution + fingered descent (PR 4): steps.{hops_top,
-//       hops_descent, finger_hits, finger_misses, hops_finger_saved}.
+//       hops_descent} plus three search-finger counters (dropped in v10).
 //       hops_top + hops_descent == node_hops; the finger counters tally
 //       descents/levels, not shared-memory steps (DESIGN.md §5.2).
 //       Purely additive again.
@@ -363,15 +363,18 @@ inline std::string git_rev(const Args& args) {
 //       histogram) and `structure_checkpoints` (25/50/75% mid-run samples
 //       + final).
 //   v9  both layers deleted (DESIGN.md §5.5): cells lose the v7/v8 axes,
-//       the report-only `use_finger` field and `leaf_checkpoints`; steps
-//       lose the chunk and policy counters (bytes_touched stays);
+//       the report-only finger flag and `leaf_checkpoints`; steps lose
+//       the chunk and policy counters (bytes_touched stays);
 //       structure_stats loses the chunk fields; structure_checkpoints lose
 //       the promotion/demotion totals; the "leaf_ablation" and
 //       "toplevel_ablation" sections and their summaries are gone.  Cells
 //       join older files on the remaining axes.
+//   v10 search finger deleted (DESIGN.md §5.2): steps lose the three v3
+//       finger counters.  No axis changed, so cells join v9 files
+//       unchanged.
 inline void write_suite_header(JsonWriter& j, const char* suite,
                                const std::string& rev, bool quick) {
-  j.kv("schema_version", 9);
+  j.kv("schema_version", 10);
   j.kv("suite", suite);
   j.kv("git_rev", rev);
   j.kv("timestamp_utc", iso8601_utc_now());
@@ -403,9 +406,6 @@ inline void write_step_counters(JsonWriter& j, const StepCounters& s) {
   j.kv("node_hops", s.node_hops);
   j.kv("hops_top", s.hops_top);
   j.kv("hops_descent", s.hops_descent);
-  j.kv("finger_hits", s.finger_hits);
-  j.kv("finger_misses", s.finger_misses);
-  j.kv("hops_finger_saved", s.hops_finger_saved);
   j.kv("hash_probes", s.hash_probes);
   j.kv("probes_lookup", s.probes_lookup);
   j.kv("probes_chain", s.probes_chain);

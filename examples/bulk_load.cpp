@@ -5,9 +5,10 @@
 // A feed handler ingests a large sorted snapshot (bulk load), then serves
 // multi-get membership checks for client request batches.  Both shapes are
 // what insert_batch/contains_batch exist for: the keys are sorted, so one
-// DescentCursor walk is amortized across each batch — every key after the
-// first enters the descent at the lowest level where the cursor's bracket
-// still holds, skipping the x-fast lowest_ancestor query entirely.  The
+// DescentCursor walk is amortized across each pinned chunk of a batch —
+// every key after the chunk's first enters the descent at the lowest level
+// where the cursor's bracket still holds, skipping the x-fast
+// lowest_ancestor query entirely.  The
 // example prints the cursor reuse rate and the per-key step counts against
 // a per-key-loop control — including the modeled cache-line traffic per
 // key (bytes_touched, DESIGN.md §5.5) — and fails (nonzero exit) if the

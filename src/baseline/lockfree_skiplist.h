@@ -24,14 +24,10 @@ namespace skiptrie {
 class LockFreeSkipList {
  public:
   // levels: number of index levels; 20 supports ~2^20 keys at the usual
-  // 1/2 promotion probability (depth log m).  use_finger mirrors
-  // Config::use_finger so ablation runs can unfinger both structures —
-  // comparing a fingered baseline against an unfingered SkipTrie would
-  // conflate the finger's benefit with the trie's.
+  // 1/2 promotion probability (depth log m).
   explicit LockFreeSkipList(uint32_t levels = 20,
                             DcssMode mode = DcssMode::kDcss,
-                            uint64_t seed = 0x5eed5eed5eed5eedull,
-                            bool use_finger = true);
+                            uint64_t seed = 0x5eed5eed5eed5eedull);
 
   bool insert(uint64_t key);
   bool erase(uint64_t key);
@@ -40,10 +36,10 @@ class LockFreeSkipList {
   std::optional<uint64_t> successor(uint64_t key) const;    // smallest > key
 
   // Batched operations (DESIGN.md §3.7): same contract as SkipTrie's —
-  // sort, stream through one DescentCursor, results in input order, each
-  // key linearizing individually.  Provided on the baseline so batched
-  // steps/op comparisons isolate the paper's claim, like the single-key
-  // seam does.
+  // sort, stream through one DescentCursor under chunked EBR pins, results
+  // in input order, each key linearizing individually.  Provided on the
+  // baseline so batched steps/op comparisons isolate the paper's claim,
+  // like the shared single-key descent does.
   size_t insert_batch(const uint64_t* keys, size_t n,
                       uint8_t* results = nullptr);
   size_t erase_batch(const uint64_t* keys, size_t n,
@@ -70,10 +66,6 @@ class LockFreeSkipList {
     return predecessor_batch(keys.data(), keys.size(), results);
   }
 
-  // Mirrors Config::use_cursor_batching (ablation; not thread-safe against
-  // concurrent operations).
-  void set_cursor_batching(bool on) { cursor_batching_ = on; }
-
   size_t size() const;
   SkipListEngine& engine() { return engine_; }
   EbrDomain& ebr() const { return ebr_; }
@@ -81,8 +73,12 @@ class LockFreeSkipList {
  private:
   uint64_t ikey_of(uint64_t key) const { return key + 1; }
 
+  // Every search starts at the top-level head (no trie).
+  SkipListEngine::Node_t* top_head() const {
+    return engine_.head(engine_.top_level());
+  }
+
   uint64_t seed_;
-  bool cursor_batching_ = true;
   mutable SlabArena arena_;
   mutable EbrDomain ebr_;
   DcssContext ctx_;

@@ -1,7 +1,7 @@
 // KeyTraits: the universe a SkipTrie instantiation runs over (DESIGN.md §6).
 //
 // Every layer of the stack — x-fast trie prefix walks, split-ordered
-// hashing, tower-height seeding, finger/cursor bracket ikeys, shard routing,
+// hashing, tower-height seeding, cursor bracket ikeys, shard routing,
 // batch sorting — is parameterized on one traits type that fixes the ikey
 // word, the universe width W, and the bit/prefix/mix arithmetic on it.  Two
 // instantiations ship:

@@ -6,9 +6,6 @@ StepCounters& StepCounters::operator+=(const StepCounters& o) {
   node_hops += o.node_hops;
   hops_top += o.hops_top;
   hops_descent += o.hops_descent;
-  finger_hits += o.finger_hits;
-  finger_misses += o.finger_misses;
-  hops_finger_saved += o.hops_finger_saved;
   hash_probes += o.hash_probes;
   probes_lookup += o.probes_lookup;
   probes_chain += o.probes_chain;
@@ -27,6 +24,8 @@ StepCounters& StepCounters::operator+=(const StepCounters& o) {
   retired_nodes += o.retired_nodes;
   bytes_touched += o.bytes_touched;
   chunk_scans += o.chunk_scans;
+  finger_hits += o.finger_hits;
+  finger_misses += o.finger_misses;
   cursor_reuses += o.cursor_reuses;
   cursor_redescends += o.cursor_redescends;
   batch_ops += o.batch_ops;
@@ -48,9 +47,6 @@ StepCounters StepCounters::operator-(const StepCounters& o) const {
   r.node_hops -= o.node_hops;
   r.hops_top -= o.hops_top;
   r.hops_descent -= o.hops_descent;
-  r.finger_hits -= o.finger_hits;
-  r.finger_misses -= o.finger_misses;
-  r.hops_finger_saved -= o.hops_finger_saved;
   r.hash_probes -= o.hash_probes;
   r.probes_lookup -= o.probes_lookup;
   r.probes_chain -= o.probes_chain;
@@ -69,6 +65,8 @@ StepCounters StepCounters::operator-(const StepCounters& o) const {
   r.retired_nodes -= o.retired_nodes;
   r.bytes_touched -= o.bytes_touched;
   r.chunk_scans -= o.chunk_scans;
+  r.finger_hits -= o.finger_hits;
+  r.finger_misses -= o.finger_misses;
   r.cursor_reuses -= o.cursor_reuses;
   r.cursor_redescends -= o.cursor_redescends;
   r.batch_ops -= o.batch_ops;

@@ -17,16 +17,9 @@ struct StepCounters {
   uint64_t node_hops = 0;        // list-node traversal steps (all levels)
   // Fine-grained attribution of node_hops (see DESIGN.md §5.2).  Like the
   // probe attribution below, these do NOT enter search_steps()/
-  // total_steps(): hops_top + hops_descent == node_hops always, and the
-  // finger counters tally events/levels, not shared-memory steps.
+  // total_steps(): hops_top + hops_descent == node_hops always.
   uint64_t hops_top = 0;         // node_hops incurred at the engine's top level
   uint64_t hops_descent = 0;     // node_hops incurred below the top level
-  uint64_t finger_hits = 0;      // fingered descents entered below the fallback
-                                 // start (bracket cache hit, DESIGN.md §3.6)
-  uint64_t finger_misses = 0;    // fingered descents that used the fallback
-  uint64_t hops_finger_saved = 0;// level searches skipped by finger hits
-                                 // (top - entry level per hit): a lower bound
-                                 // on the node hops the hit avoided
   uint64_t hash_probes = 0;      // hash-chain nodes visited (all find() calls)
   // Fine-grained attribution of hash_probes (see DESIGN.md §5.1).  These do
   // NOT enter search_steps()/total_steps() — they attribute work hash_probes
@@ -57,16 +50,18 @@ struct StepCounters {
   // line count (hash_probes) and stays separate.  Attribution only: it does
   // not enter search_steps()/total_steps().
   uint64_t bytes_touched = 0;
-  // Always 0: the structure has no leaf chunks.  Kept only for perfbench's
-  // per-layer report, which still reads it.
+  // Always 0: the structure has no leaf chunks and no search finger.  Kept
+  // only for perfbench's per-layer report, which still reads them.
   uint64_t chunk_scans = 0;
+  uint64_t finger_hits = 0;
+  uint64_t finger_misses = 0;
   // Batched-operation attribution (schema v4, DESIGN.md §5.3).  Like the
   // probe/hop attribution these count events, not shared-memory steps, and
   // do NOT enter search_steps()/total_steps().
   uint64_t cursor_reuses = 0;     // warm DescentCursor seeks served from a
                                   // retained bracket (entered below the top)
   uint64_t cursor_redescends = 0; // warm seeks whose brackets all failed and
-                                  // that re-ran the fingered/fallback entry
+                                  // that entered at the top row or fallback
   uint64_t batch_ops = 0;         // batch API calls issued (any size)
   uint64_t batch_keys = 0;        // keys processed through the batch API
   // Sharded-engine / service attribution (schema v5, DESIGN.md §5.4).

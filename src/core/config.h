@@ -29,16 +29,6 @@ struct Config {
   // Maximum bucket count of the prefix hash table.
   size_t max_hash_buckets = 1u << 20;
 
-  // Per-thread fingered descent (DESIGN.md §3.6).  Off = every operation
-  // takes the x-fast pred_start path unconditionally (ablation/diagnosis).
-  bool use_finger = true;
-
-  // Batched operations stream sorted keys through one DescentCursor
-  // (DESIGN.md §3.7).  Off = the batch API degenerates to a per-key loop
-  // over the single-key operations (ablation/measurement; results are
-  // identical either way).
-  bool use_cursor_batching = true;
-
   // Slab granularity of the node arena.
   size_t arena_blocks_per_slab = 4096;
 };

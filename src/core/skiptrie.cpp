@@ -26,6 +26,11 @@ namespace {
 // Runs as cfg_'s initializer, i.e. before any member that derives its shape
 // from universe_bits (the engine's level count, the trie's prefix lengths)
 // is constructed.
+[[noreturn]] void throw_out_of_universe(uint32_t bits) {
+  throw std::out_of_range("SkipTrie key outside the " +
+                          std::to_string(bits) + "-bit universe");
+}
+
 template <typename Traits>
 const Config& checked_config(const Config& cfg) {
   if (cfg.universe_bits < 4 || cfg.universe_bits > Traits::kMaxBits) {
@@ -45,21 +50,23 @@ BasicSkipTrie<Traits>::BasicSkipTrie(const Config& cfg)
       ebr_(),
       ctx_{&ebr_, cfg.dcss_mode},
       engine_(ctx_, arena_, ceil_log2(cfg.universe_bits)),
-      trie_(ctx_, engine_, cfg.universe_bits, cfg.max_hash_buckets) {
-  engine_.set_finger_enabled(cfg.use_finger);
-}
+      trie_(ctx_, engine_, cfg.universe_bits, cfg.max_hash_buckets) {}
 
 template <typename Traits>
 auto BasicSkipTrie<Traits>::locate(key_type key, Ikey x) const ->
     typename Engine::Bracket {
-  TrieStartEnv env{&trie_, key};
-  return engine_.fingered_descend(x, /*min_level=*/0, &trie_start, &env);
+  return engine_.descend(x, trie_.pred_start(key, x));
 }
 
 template <typename Traits>
 auto BasicSkipTrie<Traits>::max_key() const -> key_type {
   const Ikey mask = Traits::universe_mask(cfg_.universe_bits);
   return cfg_.universe_bits >= Traits::kMaxBits ? mask - Ikey(2) : mask;
+}
+
+template <typename Traits>
+void BasicSkipTrie<Traits>::check_key(key_type key) const {
+  if (key > max_key()) throw_out_of_universe(cfg_.universe_bits);
 }
 
 template <typename Traits>
@@ -98,29 +105,27 @@ bool BasicSkipTrie<Traits>::finish_erase(key_type key,
 
 template <typename Traits>
 bool BasicSkipTrie<Traits>::insert(key_type key) {
-  assert(key <= max_key());
+  check_key(key);
   EbrDomain::Guard g(ebr_);
   const Ikey x = ikey_of(key);
-  TrieStartEnv env{&trie_, key};
   const typename Engine::InsertResult r =
-      engine_.fingered_insert(x, tower_height(x), &trie_start, &env);
+      engine_.insert(x, trie_.pred_start(key, x), tower_height(x));
   return finish_insert(key, r);
 }
 
 template <typename Traits>
 bool BasicSkipTrie<Traits>::erase(key_type key) {
-  assert(key <= max_key());
+  check_key(key);
   EbrDomain::Guard g(ebr_);
   const Ikey x = ikey_of(key);
-  TrieStartEnv env{&trie_, key};
   const typename Engine::EraseResult r =
-      engine_.fingered_erase(x, &trie_start, &env);
+      engine_.erase(x, trie_.pred_start(key, x));
   return finish_erase(key, r);
 }
 
 template <typename Traits>
 bool BasicSkipTrie<Traits>::contains(key_type key) const {
-  assert(key <= max_key());
+  check_key(key);
   EbrDomain::Guard g(ebr_);
   const Ikey x = ikey_of(key);
   return locate(key, x).right->ikey() == x;
@@ -129,7 +134,7 @@ bool BasicSkipTrie<Traits>::contains(key_type key) const {
 template <typename Traits>
 auto BasicSkipTrie<Traits>::predecessor(key_type key) const
     -> std::optional<key_type> {
-  assert(key <= max_key());
+  check_key(key);
   EbrDomain::Guard g(ebr_);
   // Largest ikey <= ikey(key)  <=>  bracket left of x = ikey(key) + 1.
   const Ikey x = ikey_of(key) + Ikey(1);
@@ -141,7 +146,7 @@ auto BasicSkipTrie<Traits>::predecessor(key_type key) const
 template <typename Traits>
 auto BasicSkipTrie<Traits>::strict_predecessor(key_type key) const
     -> std::optional<key_type> {
-  assert(key <= max_key());
+  check_key(key);
   EbrDomain::Guard g(ebr_);
   const Ikey x = ikey_of(key);
   const typename Engine::Bracket b = locate(key, x);
@@ -152,7 +157,7 @@ auto BasicSkipTrie<Traits>::strict_predecessor(key_type key) const
 template <typename Traits>
 auto BasicSkipTrie<Traits>::successor(key_type key) const
     -> std::optional<key_type> {
-  assert(key <= max_key());
+  check_key(key);
   EbrDomain::Guard g(ebr_);
   const Ikey x = ikey_of(key) + Ikey(1);  // first node with ikey >= ikey(key)+1
   const typename Engine::Bracket b = locate(key, x);
@@ -163,10 +168,10 @@ auto BasicSkipTrie<Traits>::successor(key_type key) const
 template <typename Traits>
 auto BasicSkipTrie<Traits>::min_key() const -> std::optional<key_type> {
   EbrDomain::Guard g(ebr_);
-  // First node with ikey >= 1, i.e. the smallest key.  No trie fallback:
+  // First node with ikey >= 1, i.e. the smallest key.  No trie query:
   // pred_start(x=1) can only ever land on the head anyway.
   const typename Engine::Bracket b =
-      engine_.fingered_descend(Ikey(1), /*min_level=*/0, nullptr, nullptr);
+      engine_.descend(Ikey(1), engine_.head(engine_.top_level()));
   if (b.right->kind() != NodeKind::kInterior) return std::nullopt;
   return b.right->ikey() - Ikey(1);
 }

@@ -11,10 +11,9 @@
 // where u = 2^B is the universe size and c the contention (paper Thm. 4.3).
 // Internally: a truncated lock-free skiplist of log log u levels whose
 // top-level nodes are doubly linked and indexed by a concurrent x-fast trie
-// over a split-ordered hash table; every operation's descent goes through a
-// per-thread search finger (DESIGN.md §3.6) that lets repeated or skewed
-// targets skip both the trie query and the upper levels.  See DESIGN.md
-// for the full inventory.
+// over a split-ordered hash table; every single-key operation is one x-fast
+// lowest_ancestor query plus a descent from the node it names (Alg. 5).
+// See DESIGN.md for the full inventory.
 //
 // The structure is a template over KeyTraits (DESIGN.md §6):
 // `using SkipTrie = BasicSkipTrie<U64Traits>` is the historical u64 set
@@ -28,8 +27,10 @@
 // structure's lifetime).  Destruction must be externally quiesced, like any
 // concurrent container.
 //
-// Key range: [0, 2^B) for B < Traits::kMaxBits; at B = kMaxBits the two
-// largest keys of the universe are reserved for sentinels.
+// Key range: [0, max_key()], i.e. [0, 2^B) for B < Traits::kMaxBits; at
+// B = kMaxBits the two largest keys of the universe are reserved for
+// sentinels.  Every operation that takes a key throws std::out_of_range for
+// a key above max_key(), in every build, before touching the structure.
 #pragma once
 
 #include <atomic>
@@ -83,17 +84,18 @@ class BasicSkipTrie {
   std::optional<key_type> successor(key_type key) const;
 
   // --- Batched operations (DESIGN.md §3.7, src/core/batch.cpp) -----------
-  // Each call sorts the keys and streams them through one DescentCursor:
-  // one full descent for the first key, then every key enters at the lowest
-  // level where the cursor's bracket still holds — skipping the x-fast
-  // lowest_ancestor query and the upper-level walks entirely.  Results
-  // (when non-null; length n) land in *input* order; the return value is
-  // the number of true results (for predecessor_batch: keys that have a
-  // predecessor).  Each key linearizes individually, exactly like the
-  // single-key operation it shadows — a batch is a performance construct,
-  // not an atomic multi-key transaction.  Duplicates are processed in input
-  // order; with Config::use_cursor_batching off the calls degenerate to
-  // per-key loops (identical results, ablation).
+  // Each call sorts the keys and streams them through one DescentCursor,
+  // pinning EBR once per batch_detail::kKeysPerPin keys: one full descent
+  // for the first key of each pinned chunk, then every key enters at the
+  // lowest level where the cursor's bracket still holds — skipping the
+  // x-fast lowest_ancestor query and the upper-level walks entirely.
+  // Results (when non-null; length n) land in *input* order; the return
+  // value is the number of true results (for predecessor_batch: keys that
+  // have a predecessor).  Each key linearizes individually, exactly like
+  // the single-key operation it shadows — a batch is a performance
+  // construct, not an atomic multi-key transaction.  Duplicates are
+  // processed in input order.  A key above max_key() throws
+  // std::out_of_range before any key is applied.
   size_t insert_batch(const key_type* keys, size_t n,
                       uint8_t* results = nullptr);
   size_t erase_batch(const key_type* keys, size_t n,
@@ -200,20 +202,23 @@ class BasicSkipTrie {
 
  private:
   Ikey ikey_of(key_type key) const { return key + Ikey(1); }
+  // Throws std::out_of_range when key > max_key(), in every build: such a
+  // key's ikey aliases the tail sentinel's (B = kMaxBits) or lands outside
+  // the universe the trie indexes (B < kMaxBits).
+  void check_key(key_type key) const;
   // Seed-stable tower height for ikey x (DESIGN.md §3.7): derived from
   // (cfg_.seed, x) alone, so step counts are cell-comparable across runs
   // regardless of thread start order.  The ikey folds through the traits'
   // height_mix — for U64Traits exactly the seed's draw.
   uint32_t tower_height(Ikey x) const;
-  // The one fingered descent seam every read-path operation goes through
-  // (DESIGN.md §3.6): a finger hit starts below the top and skips
-  // lowest_ancestor entirely; a miss runs the x-fast pred_start and the
-  // descent seeds the finger from it.  Must be called with ebr_ pinned.
+  // The read path of every single-key query (Alg. 5): the x-fast
+  // pred_start, then the engine's descent from it.  Must be called with
+  // ebr_ pinned.
   typename Engine::Bracket locate(key_type key, Ikey x) const;
 
   // Lazy x-fast start for the engine's cursor entry points: only invoked
-  // when neither the cursor nor the finger has a usable bracket, so those
-  // paths pay zero hash probes (DESIGN.md §3.6–§3.7).
+  // when the batch cursor has no usable bracket, so reused seeks pay zero
+  // hash probes (DESIGN.md §3.7).
   struct TrieStartEnv {
     Trie* trie;
     key_type key;

@@ -66,6 +66,10 @@ std::vector<std::string> validate_structure(const BasicSkipTrie<Traits>& t) {
         fail("level " + std::to_string(l) + ": node " + hex(ik) +
              " has level field " + std::to_string(n->level()));
       }
+      if (!n->linked()) {
+        fail("level " + std::to_string(l) + ": node " + hex(ik) +
+             " is reachable but lacks the linked bit");
+      }
       if (!level_keys[l].insert(ik).second) {
         fail("level " + std::to_string(l) + ": duplicate key " + hex(ik));
       }

@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace skiptrie {
 
@@ -70,6 +71,15 @@ void BasicService<Traits>::submit(std::vector<OpItem> ops, Callback cb) {
 template <typename Traits>
 void BasicService<Traits>::submit_split(std::shared_ptr<RequestState> st) {
   assert(!stopped_);
+  // Reject out-of-universe keys on the submitting thread, before anything
+  // is queued: past the last shard they would index outside the routing
+  // table, and on a worker the shard's std::out_of_range would end the
+  // process.
+  for (const OpItem& item : st->ops) {
+    if (item.key > engine_.max_key()) {
+      throw std::out_of_range("Service key outside the universe");
+    }
+  }
   auto& c = tls_counters();
   c.service_requests++;
   st->results.resize(st->ops.size());

@@ -104,6 +104,8 @@ class BasicService {
 
   // Submit a batch; the future is fulfilled by the worker that completes
   // the request's last subtask.  An empty batch completes immediately.
+  // Both flavors throw std::out_of_range, before queueing any op, when a
+  // key exceeds engine().max_key().
   std::future<Result> submit(std::vector<OpItem> ops);
   // Callback flavor: `cb` runs on the last-finishing worker thread (or the
   // submitting thread for an empty batch); it must not block on the queues

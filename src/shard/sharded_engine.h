@@ -6,10 +6,10 @@
 // (B - log2 N)-bit universe, so every shard keeps the truncated-skiplist
 // depth bound of its own (smaller) universe.  Each shard owns the full
 // per-structure stack — SlabArena, EbrDomain, engine (and with it a unique
-// finger/cursor owner id, hence per-shard thread-local finger and cursor
-// state) — so shards share *no* mutable memory: operations on different
-// shards never contend, which is what gives the service layer
-// (src/service/) real parallelism to schedule onto.
+// cursor owner id, hence per-shard thread-local cursor state) — so shards
+// share *no* mutable memory: operations on different shards never contend,
+// which is what gives the service layer (src/service/) real parallelism to
+// schedule onto.
 //
 // Routing (DESIGN.md §4.1): shard_of(k) = k >> (B - log2 N) and
 // low_of(k) = k & (2^(B - log2 N) - 1); both are bijective on

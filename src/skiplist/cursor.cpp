@@ -1,12 +1,13 @@
 #include "skiplist/cursor.h"
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/stats.h"
 #include "dcss/dcss.h"
-#include "skiplist/finger.h"
 
 namespace skiptrie {
 
@@ -21,125 +22,52 @@ constexpr uint64_t kTopEntryMaxGaps = 8;
 }  // namespace
 
 template <typename Traits>
-auto BasicDescentCursor<Traits>::seek(Ikey x, uint32_t cold_min_level,
-                                      StartFn fallback, void* env) -> Bracket {
+auto BasicDescentCursor<Traits>::seek(Ikey x, StartFn fallback, void* env)
+    -> Bracket {
   Engine& e = *eng_;
   const uint32_t top = e.top_level();
   auto& c = tls_counters();
 
-  const bool was_warm = warm_;
-  warm_ = true;
-  // Rows are only guaranteed to hold real brackets — rather than the bare
-  // level heads a cold partial descent leaves above its entry — once some
-  // descent has entered at the top.  Until then, entries stay at or above
-  // cold_min_level so a write path's raise/tower-sweep never consumes a
-  // bare-head hint (which would scan whole levels); afterwards any entry
-  // level is safe and warm seeks run unrestricted.
-  const uint32_t eff_min = rows_real_ ? 0 : cold_min_level;
-
+  // Every retained node was traversed under the caller's current pin, so
+  // none can have been recycled (cursor.h); a marked one may be unlinked
+  // and is skipped.
   const auto row_validates = [&](uint32_t l) {
-    Node_t* n = left_[l];
-    const NodeKind k = n->kind();
-    if (k != NodeKind::kInterior && k != NodeKind::kHead) return false;
-    if (n->level() != l) return false;
-    if (n->ikey() != left_ikey_[l]) return false;
-    return !is_marked(dcss_read(n->next));
-  };
-  // Run the descent from (start, lvl).  A cold seek head-fills EVERY row
-  // first (the descent then overwrites the rows it traverses), so the rows
-  // above the entry never hold garbage a later warm screen would
-  // dereference.  Any entry at the top makes every row real.
-  const auto enter = [&](Node_t* start, uint32_t lvl,
-                         BasicSearchFinger<Traits>* f, uint64_t epoch) {
-    if (lvl == top) rows_real_ = true;
-    if (!was_warm) {
-      for (uint32_t l = 0; l <= top; ++l) {
-        left_[l] = e.head_[l];
-        left_ikey_[l] = Ikey(0);
-        right_ikey_[l] = Ikey(0);
-      }
-    }
-    return e.descend_from(x, start, lvl, left_, f, epoch, this);
+    return !is_marked(dcss_read(left_[l]->next));
   };
 
-  // Reuse candidate: the lowest retained row (at or above eff_min) whose
-  // bracket still contains x and whose left node passes the finger-style
-  // identity screen (DESIGN.md §3.6 — kind, level, ikey, unmarked).
-  // Containment against the *recorded* right ikey plays the adjacency
-  // role: everything between left and x at seek time is at most what has
-  // been inserted into the bracket since it was recorded.
-  int cl = BasicSearchFinger<Traits>::kMiss;
-  Node_t* cstart = nullptr;
-  if (was_warm) {
-    for (uint32_t l = eff_min; l <= top; ++l) {
+  if (warm_) {
+    // Reuse: the lowest retained row whose bracket still contains x.
+    // Containment against the *recorded* right ikey bounds the walk:
+    // everything between left and x at seek time is at most what has been
+    // inserted into the bracket since it was recorded.
+    for (uint32_t l = 0; l <= top; ++l) {
       if (!(left_ikey_[l] < x && x <= right_ikey_[l])) continue;
       if (!row_validates(l)) continue;
-      cl = static_cast<int>(l);
-      cstart = left_[l];
-      break;
-    }
-  }
-
-  // The finger composes with the cursor rather than being displaced by it:
-  // the retained bracket tracks the *stream* position while the finger is
-  // a many-way cache over the whole key space, and either may offer the
-  // lower entry.
-  if (e.finger_on_) {
-    BasicSearchFinger<Traits>& f = e.finger();
-    const uint64_t now = e.ctx_.ebr->global_epoch();
-    Node_t* fstart = nullptr;
-    const int fl = f.try_start(x, eff_min, now, &fstart);
-    if (fl >= 0 && (cl < 0 || fl < cl)) {
-      // A warm seek the finger serves below the cursor's bracket is still a
-      // redescent in the cursor's books: reuses + redescends == warm seeks.
-      if (was_warm) c.cursor_redescends++;
-      c.finger_hits++;
-      c.hops_finger_saved += top - static_cast<uint32_t>(fl);
-      return enter(fstart, static_cast<uint32_t>(fl), &f, now);
-    }
-    if (cl >= 0) {
       c.cursor_reuses++;
-      // Reuse descents record into the finger like any other descent: the
-      // frequency cascade (kRecordDepth below the entry) and CLOCK
-      // retention already bound how fast a one-shot sweep can displace hot
-      // brackets, and a starved finger would otherwise stop offering the
-      // low entries the compose check above depends on.
-      return enter(cstart, static_cast<uint32_t>(cl), &f, now);
+      return e.descend_from(x, left_[l], l, left_, this);
     }
-    if (was_warm) {
-      c.cursor_redescends++;
-      c.finger_misses++;
-      // Every bracket went stale, but on an ascending stream the retained
-      // *top* row is still a position left of x — enter there and walk
-      // right, skipping the fallback (for the SkipTrie: every hash probe
-      // after the batch's first key).  Amortized over a batch, the top
-      // walk crosses each top-level node of the swept range once.
-      if (top_entry_usable(x) && row_validates(top)) {
-        return enter(left_[top], top, &f, now);
-      }
-      Node_t* start = fallback != nullptr ? fallback(env, x) : e.head_[top];
-      const uint32_t lvl = e.resolve_start(x, start);
-      return enter(start, lvl, &f, now);
-    }
-    c.finger_misses++;
-    Node_t* start = fallback != nullptr ? fallback(env, x) : e.head_[top];
-    const uint32_t lvl = e.resolve_start(x, start);
-    return enter(start, lvl, &f, now);
-  }
-
-  if (cl >= 0) {
-    c.cursor_reuses++;
-    return enter(cstart, static_cast<uint32_t>(cl), nullptr, 0);
-  }
-  if (was_warm) {
     c.cursor_redescends++;
+    // Every bracket went stale, but on an ascending stream the retained
+    // *top* row is still a position left of x — enter there and walk
+    // right, skipping the fallback (for the SkipTrie: every hash probe
+    // after the chunk's first key).  Amortized over a chunk, the top walk
+    // crosses each top-level node of the swept range once.
     if (top_entry_usable(x) && row_validates(top)) {
-      return enter(left_[top], top, nullptr, 0);
+      return e.descend_from(x, left_[top], top, left_, this);
+    }
+  } else {
+    // Cold: head-fill every row first (the descent then overwrites the rows
+    // it traverses), so rows above the entry never hold a stale node.
+    warm_ = true;
+    for (uint32_t l = 0; l <= top; ++l) {
+      left_[l] = e.head_[l];
+      left_ikey_[l] = Ikey(0);
+      right_ikey_[l] = Ikey(0);
     }
   }
   Node_t* start = fallback != nullptr ? fallback(env, x) : e.head_[top];
   const uint32_t lvl = e.resolve_start(x, start);
-  return enter(start, lvl, nullptr, 0);
+  return e.descend_from(x, start, lvl, left_, this);
 }
 
 template <typename Traits>
@@ -163,9 +91,7 @@ void BasicDescentCursor<Traits>::note_insert(
   const uint32_t top = eng_->top_level();
   for (uint32_t l = 1; l <= height && l <= top; ++l) {
     // The raise loop advanced left_[l] in place (hints()); re-stamp the
-    // recorded ikey so the reuse screen and the identity validation agree.
-    // The re-read is safe (type-stable storage) and self-consistent: a
-    // recycled node yields an ikey that its own validation re-checks.
+    // recorded ikey to match the node the row now names.
     left_ikey_[l] = left_[l]->ikey();
   }
 }
@@ -184,16 +110,32 @@ void BasicDescentCursor<Traits>::note_erase(Ikey x) {
   }
 }
 
+// --- Owner ids and the dead-owner journal ------------------------------------
+//
+// Owner ids are never reused, so the registry below keys slots by owner and
+// hands out stable objects.  To keep a thread's registry from growing with
+// every engine it has *ever* touched (bench_suite's main thread prefills
+// hundreds of short-lived structures), a destroyed engine appends its owner
+// id here and each registry drops the matching slot lazily on its next
+// lookup.  The journal itself is append-only (8 bytes per engine ever
+// destroyed) and each thread only scans the suffix it has not yet seen.  One
+// journal serves the registries of every traits instantiation (owner ids
+// are global).
+
 namespace {
 
-// Per-thread cursor registry, mirroring the finger registry (finger.cpp):
-// one stable slot per live engine the thread has touched, keyed by the
-// never-reused owner id, growable, with move-toward-front promotion and a
-// lazy sweep of the shared dead-owner journal (DESIGN.md §4.2).  A slot is
-// never rebound while its owner lives, so cursors fetched for different
-// engines never alias and a shard's stream state survives the thread
-// visiting every other shard in between.  One registry per traits
-// instantiation, like the finger's.
+std::mutex dead_owner_mu;
+std::vector<uint64_t> dead_owner_journal;
+std::atomic<uint64_t> dead_owner_ver{0};
+
+// Per-thread cursor registry: one stable slot per live engine the thread
+// has touched.  No eviction while the owner lives — the fixed-slot
+// round-robin it replaces rebound objects in place, retargeting references
+// an outer frame still held (aliasing) and resetting every cursor whenever
+// a thread cycled through more engines than slots, which is the steady
+// state of a sharded split batch (DESIGN.md §4.2).  Lookups scan linearly
+// with move-toward-front promotion, so the repeated-owner path stays O(1)
+// and a shard sweep costs at most one swap per shard.
 template <typename Traits>
 struct CursorSlot {
   uint64_t owner = 0;
@@ -202,8 +144,7 @@ struct CursorSlot {
 template <typename Traits>
 struct CursorRegistry {
   std::vector<CursorSlot<Traits>> slots;
-  uint64_t seen_dead = 0;
-  std::vector<uint64_t> scratch;
+  uint64_t seen_dead = 0;  // journal position already processed
 };
 
 template <typename Traits>
@@ -213,29 +154,43 @@ CursorRegistry<Traits>& tl_cursor_reg() {
 }
 
 template <typename Registry>
-void sweep_dead_cursors(Registry& reg) {
-  const uint64_t v = detail::dead_owner_version();
-  if (v == reg.seen_dead) return;
-  reg.seen_dead = detail::dead_owners_since(reg.seen_dead, reg.scratch);
-  for (const uint64_t dead : reg.scratch) {
+void sweep_dead_owners(Registry& reg) {
+  if (dead_owner_ver.load(std::memory_order_acquire) == reg.seen_dead) return;
+  std::lock_guard<std::mutex> lk(dead_owner_mu);
+  for (size_t j = reg.seen_dead; j < dead_owner_journal.size(); ++j) {
     for (size_t i = 0; i < reg.slots.size(); ++i) {
-      if (reg.slots[i].owner == dead) {
+      if (reg.slots[i].owner == dead_owner_journal[j]) {
         reg.slots.erase(reg.slots.begin() + static_cast<ptrdiff_t>(i));
         break;
       }
     }
   }
+  reg.seen_dead = dead_owner_journal.size();
 }
 
 }  // namespace
+
+uint64_t new_cursor_owner() {
+  static std::atomic<uint64_t> counter{1};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+void release_cursor_owner(uint64_t owner) {
+  std::lock_guard<std::mutex> lk(dead_owner_mu);
+  dead_owner_journal.push_back(owner);
+  dead_owner_ver.store(dead_owner_journal.size(), std::memory_order_release);
+}
 
 template <typename Traits>
 BasicDescentCursor<Traits>& tls_cursor(uint64_t owner,
                                        BasicSkipListEngine<Traits>& engine) {
   CursorRegistry<Traits>& reg = tl_cursor_reg<Traits>();
-  sweep_dead_cursors(reg);
+  sweep_dead_owners(reg);
   for (size_t i = 0; i < reg.slots.size(); ++i) {
     if (reg.slots[i].owner == owner) {
+      // Swapping slots moves only the owner word and the unique_ptr; the
+      // cursor objects themselves never move, so held references stay
+      // valid across promotions.
       if (i > 0) {
         std::swap(reg.slots[i], reg.slots[i - 1]);
         --i;
@@ -253,7 +208,7 @@ BasicDescentCursor<Traits>& tls_cursor(uint64_t owner,
 template <typename Traits>
 size_t tls_cursor_registry_size_of() {
   CursorRegistry<Traits>& reg = tl_cursor_reg<Traits>();
-  sweep_dead_cursors(reg);
+  sweep_dead_owners(reg);
   return reg.slots.size();
 }
 

@@ -7,31 +7,34 @@
 // lowest such level, skipping the operation's fallback start (for the
 // SkipTrie, the whole x-fast `lowest_ancestor` query) and every level above
 // the entry.  Sorted key streams (the batch API, src/core/batch.h) therefore
-// pay one full descent for the first key and O(1 + log distance) levels per
-// key after it; a cold cursor degenerates to exactly the PR 4 fingered entry
-// protocol, which is how the single-key operations route through this same
-// seam (they construct a fresh cursor per call).
+// pay one full descent for the first key of each pinned chunk and
+// O(1 + log distance) levels per key after it.  Single-key operations do
+// not use a cursor: they run the engine's plain descend() from their own
+// start.
 //
-// Safety is the finger story (DESIGN.md §3.6) verbatim: retained nodes may
-// be retired, poisoned and recycled between seeks (the batch loop re-pins
-// EBR per key), so every reuse candidate is screened by identity
-// (kind/level/ikey), unmarkedness, and bracket containment before it is
-// trusted — and even then it is only a start *hint* that `list_search`
-// re-validates.  A stale cursor costs steps, never answers.
+// Safety: a retained row is only sound under the EBR pin it was recorded
+// under.  After that pin ends its node may be retired, recycled and
+// re-initialized by a same-key insert that has not linked it yet — storage
+// that passes every identity screen (kind, level, ikey, unmarked) yet is
+// unreachable, so a descent entered there answers from outside the set.
+// Callers therefore hold one pin across every seek since the last
+// invalidate() and invalidate at each new pin (batch_detail::
+// for_each_sorted_pinned does both).  Under that contract no retained node
+// can be recycled, and a seek only checks that the row's left node is
+// unmarked before reusing it; list_search still re-validates the start.
 //
 // A DescentCursor is single-threaded state, like a stack variable: it must
 // not be shared between threads, and it holds no resources (no pin, no
 // allocation), so abandoning one at any time is free.  The batch API uses
-// the calling thread's persistent cursor (`tls_cursor`, keyed by the same
-// never-reused engine owner id as the finger registry), so consecutive
-// batches skip the cold first descent too; rows retained across calls are
-// as stale as any finger entry and pass through the same screens.
+// the calling thread's persistent cursor (`tls_cursor`, keyed by a
+// never-reused engine owner id).
 //
-// Like the engine and finger, the cursor is a template over KeyTraits
-// (DESIGN.md §6) — retained ikeys take the traits' ikey word, and each
-// instantiation keeps its own per-thread registry.
+// Like the engine, the cursor is a template over KeyTraits (DESIGN.md §6) —
+// retained ikeys take the traits' ikey word, and each instantiation keeps
+// its own per-thread registry.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "skiplist/engine.h"
@@ -52,36 +55,21 @@ class BasicDescentCursor {
   BasicDescentCursor(const BasicDescentCursor&) = delete;
   BasicDescentCursor& operator=(const BasicDescentCursor&) = delete;
 
-  // Re-seat this cursor onto another engine; drops every retained bracket.
-  // The tls registry never calls this (slots are stable per owner,
-  // DESIGN.md §4.2) — it exists for callers that own a cursor directly.
-  void rebind(Engine& engine) {
-    eng_ = &engine;
-    warm_ = false;
-    rows_real_ = false;
-  }
-
   // Position the cursor at x, returning the level-0 bracket
-  // (left.ikey < x <= right.ikey).  A warm cursor first tries to reuse a
-  // retained bracket (counted in steps.cursor_reuses; a warm seek whose
-  // brackets all fail counts in steps.cursor_redescends); a cold cursor —
-  // or a failed reuse — runs the fingered entry protocol: consult the
-  // calling thread's SearchFinger at `cold_min_level`, else `fallback`.
-  // Write streams pass cold_min_level = top so that every retained row is
-  // descent-fresh or a prior row, never a bare level head (their raise and
-  // tower-sweep phases consume hints at every level; see cursor.cpp).
-  Bracket seek(Ikey x, uint32_t cold_min_level, StartFn fallback, void* env);
+  // (left.ikey < x <= right.ikey).  A warm cursor first reuses the lowest
+  // retained bracket that contains x (counted in steps.cursor_reuses), else
+  // enters at its retained top row when x is a short jump to the right,
+  // else runs `fallback` (both counted in steps.cursor_redescends).  A cold
+  // cursor runs `fallback` and counts neither.
+  Bracket seek(Ikey x, StartFn fallback, void* env);
 
   // Per-level left hints of the last seek (size engine.top_level()+1),
   // in the exact shape insert_from/erase_from consume (and mutate).
   Node_t** hints() { return left_; }
 
-  bool warm() const { return warm_; }
-  // Drop every retained bracket; the next seek takes the cold path.
-  void invalidate() {
-    warm_ = false;
-    rows_real_ = false;
-  }
+  // Drop every retained bracket; the next seek takes the cold path.  Call
+  // at every new EBR pin (see the file comment).
+  void invalidate() { warm_ = false; }
 
   // Fold a just-completed insert of x (tower height `height`) into the
   // retained brackets: the new tower becomes the level-0 left anchor and
@@ -90,8 +78,8 @@ class BasicDescentCursor {
   void note_insert(const typename Engine::InsertResult& r, Ikey x,
                    uint32_t height);
   // Fold a just-completed erase of x into the retained brackets (the tower
-  // sweep moved the hints; re-stamp their ikeys so the reuse screen and the
-  // identity validation agree on what was recorded).
+  // sweep moved the hints; re-stamp their ikeys so the containment screen
+  // matches the nodes the rows now name).
   void note_erase(Ikey x);
 
  private:
@@ -103,11 +91,6 @@ class BasicDescentCursor {
 
   Engine* eng_;
   bool warm_ = false;
-  // True once some descent entered at the top, i.e. every row holds a real
-  // bracket rather than the bare level heads a cold partial descent leaves
-  // above its entry.  Until then warm entries are gated at the caller's
-  // cold_min_level so write paths never consume bare-head hints.
-  bool rows_real_ = false;
   // Rows 0..engine.top_level().  A row not yet traversed by any seek holds
   // (head, 0, 0): a valid search start, but right_ikey_ = 0 can never
   // contain a target (ikeys are >= 1), so it is never "reused".
@@ -117,15 +100,24 @@ class BasicDescentCursor {
 };
 
 // The calling thread's persistent cursor for the engine identified by
-// `owner` (the finger registry's owner ids; see SkipListEngine::cursor()).
-// Like tls_finger, the returned reference stays valid — and keeps denoting
-// the same engine's cursor — until that engine is destroyed; fetching
-// cursors for any number of other engines never rebinds it (DESIGN.md
-// §4.2).  Dead owners are swept lazily via the shared journal in
-// finger.cpp.  One registry per traits instantiation.
+// `owner` (see SkipListEngine::cursor()).  The returned reference stays
+// valid — and keeps denoting the same engine's cursor — until that engine
+// is destroyed; fetching cursors for any number of other engines never
+// rebinds it (DESIGN.md §4.2).  Slots of destroyed engines are swept lazily
+// through the dead-owner journal.  One registry per traits instantiation.
 template <typename Traits>
 BasicDescentCursor<Traits>& tls_cursor(uint64_t owner,
                                        BasicSkipListEngine<Traits>& engine);
+
+// Unique, never-reused owner id — one per engine instance (any traits).
+uint64_t new_cursor_owner();
+
+// Called by the engine's destructor: records `owner` in the dead-owner
+// journal so every thread's cursor registry drops its slot for it on its
+// next lookup (keeping registry growth bounded by the engines actually
+// alive).  Safe from any thread; must not race the owner's own engine
+// still being used.
+void release_cursor_owner(uint64_t owner);
 
 // Test hook: number of live slots in the calling thread's cursor registry
 // for this traits instantiation.

@@ -1,6 +1,5 @@
 #include "skiplist/engine.h"
 
-#include <algorithm>
 #include <cassert>
 #include <new>
 
@@ -28,7 +27,7 @@ template <typename Traits>
 BasicSkipListEngine<Traits>::BasicSkipListEngine(DcssContext ctx,
                                                  SlabArena& arena,
                                                  uint32_t top_level)
-    : ctx_(ctx), arena_(arena), top_(top_level) {
+    : ctx_(ctx), arena_(arena), top_(top_level), owner_(new_cursor_owner()) {
   assert(top_ >= 1 && top_ <= kMaxLevels);
   assert(arena_.block_size() >= sizeof(Node_t));
   bool fresh = false;
@@ -45,14 +44,14 @@ BasicSkipListEngine<Traits>::BasicSkipListEngine(DcssContext ctx,
 template <typename Traits>
 BasicSkipListEngine<Traits>::~BasicSkipListEngine() {
   // Arena owns all node storage; the only cleanup is publishing this
-  // engine's owner id to the dead-owner journal so every thread's
-  // finger/cursor registry slots for it are reclaimed (DESIGN.md §4.2).
-  release_finger_owner(finger_owner_);
+  // engine's owner id to the dead-owner journal so every thread's cursor
+  // registry slot for it is reclaimed (DESIGN.md §4.2).
+  release_cursor_owner(owner_);
 }
 
 template <typename Traits>
 auto BasicSkipListEngine<Traits>::cursor() -> Cursor& {
-  return tls_cursor<Traits>(finger_owner_, *this);
+  return tls_cursor<Traits>(owner_, *this);
 }
 
 template <typename Traits>
@@ -89,9 +88,7 @@ void BasicSkipListEngine<Traits>::retire_owned(const EraseResult& r) {
 template <typename Traits>
 bool BasicSkipListEngine<Traits>::usable_start(Node_t* n, Ikey x,
                                                uint32_t level) const {
-  if (n == nullptr) return false;
-  const NodeKind k = n->kind();
-  if (k != NodeKind::kInterior && k != NodeKind::kHead) return false;
+  if (n == nullptr || !n->anchorable()) return false;
   if (n->level() != level) return false;
   return n->ikey() < x;
 }
@@ -109,6 +106,13 @@ auto BasicSkipListEngine<Traits>::list_search(Ikey x, Node_t* start,
     }
     Node_t* pred = left;
     const uint64_t pred_word = dcss_read(pred->next);
+    if (!pred->anchorable()) {
+      // Recycled and re-initialized since usable_start: pred_word may be
+      // an unlinked insert's next word (DESIGN.md §3.3).
+      c.restarts++;
+      left = head_[level];
+      continue;
+    }
     if (is_marked(pred_word)) {
       // Our anchor got marked: recover through its back pointer (validated
       // at the top of the loop; falls back to the head if the guide is
@@ -157,8 +161,8 @@ auto BasicSkipListEngine<Traits>::list_search(Ikey x, Node_t* start,
 
 template <typename Traits>
 uint32_t BasicSkipListEngine<Traits>::resolve_start(Ikey x, Node_t*& cur) {
-  if (cur != nullptr && cur->level() <= top_ && cur->ikey() < x &&
-      (cur->kind() == NodeKind::kInterior || cur->kind() == NodeKind::kHead)) {
+  if (cur != nullptr && cur->anchorable() && cur->level() <= top_ &&
+      cur->ikey() < x) {
     return cur->level();
   }
   tls_counters().restarts++;
@@ -169,39 +173,14 @@ uint32_t BasicSkipListEngine<Traits>::resolve_start(Ikey x, Node_t*& cur) {
 template <typename Traits>
 auto BasicSkipListEngine<Traits>::descend_from(Ikey x, Node_t* cur,
                                                uint32_t lvl, Node_t** hints,
-                                               Finger* f, uint64_t epoch,
                                                Cursor* rec) -> Bracket {
-  // Record only the kRecordDepth levels just below the entry level (the
-  // frequency cascade, DESIGN.md §3.6): a target must hit at level l before
-  // its descent may populate rows l-1, l-2.  Recording every traversed
-  // level instead floods the low rows — one fresh level-0 bracket per
-  // operation — so on skewed streams the cold tail evicts the hot brackets
-  // faster than they repeat, and the finger never gets to enter low.  The
-  // cascade anchors at the finger's highest cacheable row: a full-height
-  // baseline enters at top ~ log m, far above what the finger stores.
-  uint32_t record_floor = 0;
-  if (f != nullptr) {
-    const uint32_t eff = lvl < f->max_level() ? lvl : f->max_level();
-    record_floor =
-        eff > Finger::kRecordDepth ? eff - Finger::kRecordDepth : 0;
-  }
   for (;;) {
     Bracket b = list_search(x, cur, lvl);
     if (hints != nullptr) hints[lvl] = b.left;
     if (rec != nullptr) {
-      // Cursor rows re-read the ikeys like the finger record below: a
-      // recycled node yields values its own reuse validation re-checks.
       rec->left_[lvl] = b.left;
       rec->left_ikey_[lvl] = b.left->ikey();
       rec->right_ikey_[lvl] = b.right->ikey();
-    }
-    if (f != nullptr && lvl >= record_floor && lvl <= f->max_level()) {
-      // Seed/refresh the finger with the bracket this level just observed.
-      // The ikeys are re-read here: if either node was recycled since
-      // list_search returned, the entry records a bracket that try_start's
-      // validation will reject (or that merely mis-screens — the finger is
-      // a hint either way, DESIGN.md §3.6).
-      f->record(lvl, b.left, b.left->ikey(), b.right->ikey(), epoch);
     }
     if (lvl == 0) return b;
     --lvl;
@@ -218,24 +197,22 @@ auto BasicSkipListEngine<Traits>::descend(Ikey x, Node_t* start,
   }
   Node_t* cur = start;
   const uint32_t lvl = resolve_start(x, cur);
-  return descend_from(x, cur, lvl, hints, nullptr, 0);
+  return descend_from(x, cur, lvl, hints);
 }
 
 template <typename Traits>
 auto BasicSkipListEngine<Traits>::cursor_descend(Cursor& cur, Ikey x,
                                                  StartFn fallback, void* env)
     -> Bracket {
-  return cur.seek(x, /*cold_min_level=*/0, fallback, env);
+  return cur.seek(x, fallback, env);
 }
 
 template <typename Traits>
 auto BasicSkipListEngine<Traits>::cursor_insert(Cursor& cur, Ikey x,
                                                 uint32_t height,
-                                                uint32_t cold_min_level,
                                                 StartFn fallback, void* env)
     -> InsertResult {
-  assert(cold_min_level >= height);
-  Bracket b = cur.seek(x, cold_min_level, fallback, env);
+  Bracket b = cur.seek(x, fallback, env);
   InsertResult r = insert_from(x, height, cur.hints(), b);
   cur.note_insert(r, x, height);
   return r;
@@ -245,10 +222,7 @@ template <typename Traits>
 auto BasicSkipListEngine<Traits>::cursor_erase(Cursor& cur, Ikey x,
                                                StartFn fallback, void* env)
     -> EraseResult {
-  // cold_min_level = top_: the top-down tower sweep consumes hints at every
-  // level, so a cold entry below the top (which would leave bare level-head
-  // rows above it) is never usable.
-  Bracket b0 = cur.seek(x, top_, fallback, env);
+  Bracket b0 = cur.seek(x, fallback, env);
   EraseResult r = erase_from(x, cur.hints(), b0);
   cur.note_erase(x);
   return r;
@@ -259,12 +233,9 @@ auto BasicSkipListEngine<Traits>::fingered_descend(Ikey x, uint32_t min_level,
                                                    StartFn fallback, void* env,
                                                    Node_t** hints)
     -> Bracket {
-  Cursor cur(*this);
-  const Bracket b = cur.seek(x, min_level, fallback, env);
-  if (hints != nullptr) {
-    std::copy(cur.hints(), cur.hints() + top_ + 1, hints);
-  }
-  return b;
+  (void)min_level;
+  return descend(x, fallback != nullptr ? fallback(env, x) : head_[top_],
+                 hints);
 }
 
 template <typename Traits>
@@ -348,9 +319,8 @@ auto BasicSkipListEngine<Traits>::walk_left(Ikey x, Node_t* from) -> Node_t* {
       c.walk_fallbacks++;
       return head_[top_];
     }
-    const NodeKind k = curr->kind();
-    if (k == NodeKind::kHead) return head_[top_];
-    if (k == NodeKind::kPoison || k == NodeKind::kTail) {
+    if (curr->kind() == NodeKind::kHead) return head_[top_];
+    if (!curr->anchorable()) {  // poison, tail, or an unlinked insert
       c.restarts++;
       c.walk_fallbacks++;
       return head_[top_];
@@ -382,12 +352,15 @@ auto BasicSkipListEngine<Traits>::raise_level(Node_t* root, Node_t* nnode,
     if (b.right->ikey() == x) {
       return RaiseStatus::kStoppedUnpublished;  // same key already here
     }
-    nnode->next.store(pack_ptr(b.right), std::memory_order_relaxed);
+    // Release: a reader that reads this word through a stale guide then
+    // sees init()'s cleared linked bit (DESIGN.md §3.3).
+    nnode->next.store(pack_ptr(b.right), std::memory_order_release);
     // The paper (§2): "Each insertion is conditioned on the stop flag of the
     // root remaining unset" — DCSS on the predecessor link guarded by stopw.
     const DcssResult r = dcss(ctx_, b.left->next, pack_ptr(b.right),
                               pack_ptr(nnode), root->stopw, 0);
     if (r.success) {
+      nnode->set_linked();
       if (ctx_.mode == DcssMode::kCasFallback &&
           root->stopw.load(std::memory_order_seq_cst) != 0) {
         // CAS fallback dropped the guard and the link may have landed after
@@ -432,17 +405,6 @@ auto BasicSkipListEngine<Traits>::insert(Ikey x, Node_t* start,
 }
 
 template <typename Traits>
-auto BasicSkipListEngine<Traits>::fingered_insert(Ikey x, uint32_t height,
-                                                  StartFn fallback, void* env)
-    -> InsertResult {
-  // cold_min_level = height: the raise path consumes hints[1..height], so a
-  // finger entry below the drawn tower height would leave the raise
-  // searching whole levels from their heads.
-  Cursor cur(*this);
-  return cursor_insert(cur, x, height, height, fallback, env);
-}
-
-template <typename Traits>
 auto BasicSkipListEngine<Traits>::insert_from(Ikey x, uint32_t height,
                                               Node_t** hints, Bracket b)
     -> InsertResult {
@@ -460,12 +422,14 @@ auto BasicSkipListEngine<Traits>::insert_from(Ikey x, uint32_t height,
       return res;
     }
     if (root == nullptr) root = make_node(x, 0, height, nullptr, nullptr);
-    root->next.store(pack_ptr(b.right), std::memory_order_relaxed);
+    // Release: see raise_level.
+    root->next.store(pack_ptr(b.right), std::memory_order_release);
     // Linearization point of a successful insert: linking at level 0.
     if (counted_cas(b.left->next, pack_ptr(b.right), pack_ptr(root))) break;
     bo.spin();  // lost to a concurrent writer in this neighborhood
     b = list_search(x, b.left, 0);
   }
+  root->set_linked();
   res.root = root;
   res.inserted = true;
 
@@ -522,13 +486,6 @@ auto BasicSkipListEngine<Traits>::erase(Ikey x, Node_t* start) -> EraseResult {
   Node_t* hints[kMaxLevels + 1];
   const Bracket b0 = descend(x, start, hints);
   return erase_from(x, hints, b0);
-}
-
-template <typename Traits>
-auto BasicSkipListEngine<Traits>::fingered_erase(Ikey x, StartFn fallback,
-                                                 void* env) -> EraseResult {
-  Cursor cur(*this);
-  return cursor_erase(cur, x, fallback, env);
 }
 
 template <typename Traits>

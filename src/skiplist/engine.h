@@ -30,7 +30,6 @@
 #include "common/key_traits.h"
 #include "dcss/dcss.h"
 #include "reclaim/arena.h"
-#include "skiplist/finger.h"
 #include "skiplist/node.h"
 
 namespace skiptrie {
@@ -43,7 +42,6 @@ class BasicSkipListEngine {
  public:
   using Ikey = typename Traits::ikey_type;
   using Node_t = NodeT<Ikey>;
-  using Finger = BasicSearchFinger<Traits>;
   using Cursor = BasicDescentCursor<Traits>;
 
   static constexpr uint32_t kMaxLevels = 40;  // supports the log-m baseline
@@ -96,8 +94,9 @@ class BasicSkipListEngine {
 
   // Descend from `start` (any level; validated) to level 0, returning the
   // level-0 bracket.  If hints != nullptr it receives the per-level left
-  // nodes (size must be >= top_level()+1).  Finger-free (tests, internal
-  // restarts); public operations route through the fingered entry points.
+  // nodes (size must be >= top_level()+1).  This is the paper's descent
+  // (Alg. 5) that every single-key operation runs: the SkipTrie starts it
+  // at the x-fast pred_start, the baseline at the top-level head.
   // perfbench's per-layer report also calls it directly; keep the signature.
   Bracket descend(Ikey x, Node_t* start, Node_t** hints = nullptr);
 
@@ -109,54 +108,31 @@ class BasicSkipListEngine {
   // stop word, then removes the tower top-down (paper Alg. 2 / §2).
   EraseResult erase(Ikey x, Node_t* start);
 
-  // --- Cursor entry points (DESIGN.md §3.6–§3.7) --------------------------
-  // The one descent seam every public SkipTrie and baseline operation goes
-  // through, built on BasicDescentCursor (skiplist/cursor.h): a resumable
-  // per-level bracket position.  A warm cursor whose retained bracket still
-  // contains x enters the descent at the lowest such level; otherwise the
-  // calling thread's finger is consulted: a hit at level
-  // l >= min_level starts the descent there, skipping levels l+1..top *and*
-  // the fallback entirely (for the SkipTrie that fallback is the x-fast
-  // trie's pred_start — hash probes and the top-level walk).  On a miss,
-  // `fallback(env, x)` lazily supplies the start node (nullptr fallback
-  // means the top-level head), and the descent that follows seeds the
-  // finger with every bracket it traverses.
-  //
-  // min_level bounds how low a finger hit may enter on the cold path: reads
-  // pass 0, single-key insert passes its drawn tower height (the raise path
-  // needs descent-fresh hints at every level it touches), erase and the
-  // batched write streams pass top_level() (the tower sweep consumes hints
-  // at every level, and a batch must keep every retained row a real bracket
-  // rather than a bare level head — see cursor.h).
+  // --- Cursor entry points (DESIGN.md §3.7) --------------------------------
+  // The batch API's descent seam, built on BasicDescentCursor
+  // (skiplist/cursor.h): a resumable per-level bracket position.  A warm
+  // cursor whose retained bracket still contains x enters the descent at
+  // the lowest such level; otherwise `fallback(env, x)` lazily supplies the
+  // start node (nullptr fallback means the top-level head).  Every seek
+  // since the cursor's last invalidate() must run under one EBR pin.
   using StartFn = Node_t* (*)(void* env, Ikey x);
 
   Bracket cursor_descend(Cursor& cur, Ikey x, StartFn fallback, void* env);
   InsertResult cursor_insert(Cursor& cur, Ikey x, uint32_t height,
-                             uint32_t cold_min_level, StartFn fallback,
-                             void* env);
+                             StartFn fallback, void* env);
   EraseResult cursor_erase(Cursor& cur, Ikey x, StartFn fallback, void* env);
 
-  // Single-key entry points: the batch_size = 1 degenerate case — each call
-  // runs one cold cursor through the seam above.  perfbench's per-layer
-  // report also calls fingered_descend directly; keep its signature.
+  // The calling thread's persistent cursor for this engine (defined in
+  // engine.cpp); the batch API streams each call's keys through it.
+  Cursor& cursor();
+
+  // Kept only for perfbench's per-layer report, which still calls them.
+  // fingered_descend is descend() from fallback(env, x) (the top-level head
+  // when fallback is nullptr); min_level is ignored.
   Bracket fingered_descend(Ikey x, uint32_t min_level, StartFn fallback,
                            void* env, Node_t** hints = nullptr);
-  InsertResult fingered_insert(Ikey x, uint32_t height, StartFn fallback,
-                               void* env);
-  EraseResult fingered_erase(Ikey x, StartFn fallback, void* env);
-
-  // The calling thread's finger for this engine (distinct per thread).
-  // finger() and cursor() are also timed by perfbench's empty-op span.
-  Finger& finger() const { return tls_finger<Traits>(finger_owner_, top_); }
-  // The calling thread's persistent cursor for this engine (same owner-id
-  // keying; defined in engine.cpp).  Used by the batch API so consecutive
-  // batches resume where the last one left off.
-  Cursor& cursor();
-  // Ablation/diagnostic switch: when off, the fingered entry points behave
-  // exactly like their unfingered counterparts (no lookups, no recording,
-  // no finger counters).  Not thread-safe against concurrent operations.
-  void set_finger_enabled(bool on) { finger_on_ = on; }
-  bool finger_enabled() const { return finger_on_; }
+  // Kept only for perfbench's empty-op span: the same object as cursor().
+  Cursor& finger() { return cursor(); }
 
   // Algorithm 1.  Installs node.prev via DCSS guarded on the predecessor
   // remaining unmarked and adjacent; sets node.ready on exit.
@@ -202,13 +178,12 @@ class BasicSkipListEngine {
   // (counting a restart).  Returns the level the descent begins at.
   uint32_t resolve_start(Ikey x, Node_t*& cur);
   // Core descent loop from (cur, lvl): fills hints[l] for every traversed
-  // level (callers pre-fill untraversed levels), records every traversed
-  // bracket into the finger (when f != nullptr, stamped with `epoch`) and
-  // into the cursor's rows (when rec != nullptr; hints is then rec's own
-  // left array).
+  // level (callers pre-fill untraversed levels) and, when rec != nullptr,
+  // records every traversed bracket into the cursor's rows (hints is then
+  // rec's own left array).
   Bracket descend_from(Ikey x, Node_t* cur, uint32_t lvl, Node_t** hints,
-                       Finger* f, uint64_t epoch, Cursor* rec = nullptr);
-  // Post-descent bodies shared by the plain and fingered entry points.
+                       Cursor* rec = nullptr);
+  // Post-descent bodies shared by the single-key and cursor entry points.
   InsertResult insert_from(Ikey x, uint32_t height, Node_t** hints,
                            Bracket b);
   EraseResult erase_from(Ikey x, Node_t** hints, Bracket b0);
@@ -227,8 +202,7 @@ class BasicSkipListEngine {
   DcssContext ctx_;
   SlabArena& arena_;
   const uint32_t top_;
-  const uint64_t finger_owner_ = new_finger_owner();
-  bool finger_on_ = true;
+  const uint64_t owner_;  // cursor-registry key (cursor.h)
   Node_t* head_[kMaxLevels + 1];
   Node_t* tail_;
 };

@@ -21,11 +21,12 @@
 //          "(right.prev, right.marked)" as one word.
 //   stopw  root only: set to 1 by the delete operation that claims the
 //          tower; tower raising is DCSS-guarded on stopw == 0 (paper §2).
-//   meta   packed {level, orig_height, kind, ready}; level/height/kind are
-//          written before publication and at poison time; the ready bit
-//          (top-level only: fixPrev has installed the prev pointer) is set
-//          once via fetch_or.  Atomic with relaxed access for the packed
-//          fields, acquire for ready.
+//   meta   packed {level, orig_height, kind, ready, linked}; level/height/
+//          kind are written before publication and at poison time; the
+//          ready bit (top-level only: fixPrev has installed the prev
+//          pointer) and the linked bit (the node has been linked into its
+//          level's list) are each set once via fetch_or.  Atomic with
+//          relaxed access for the packed fields, acquire for the bits.
 //
 // Every field that a stale guide pointer could cause another thread to read
 // concurrently with poisoning is an atomic; accesses that merely validate
@@ -36,7 +37,7 @@
 // sizeof == one cache line.  Wider ikeys (u128) store as two relaxed
 // uint64_t halves in AtomicIkey: a torn read yields an ikey that was never
 // stored, which is the same hazard class as reading a recycled node's
-// re-keyed ikey (§3.6) — ikeys read through guide pointers are hints,
+// re-keyed ikey (§3.3) — ikeys read through guide pointers are hints,
 // validated by kind/level/mark identity checks before any structural use —
 // so no double-wide atomic (and no libatomic lock) is needed.
 #pragma once
@@ -98,9 +99,15 @@ struct alignas(kCacheLine) NodeT {
   std::atomic<uint64_t> prevw{0};
   std::atomic<uint64_t> stopw{0};
   std::atomic<uint32_t> meta{0};  // level | orig_height<<8 | kind<<16
-                                  //       | ready<<24
+                                  //       | ready<<24 | linked<<25
 
   static constexpr uint32_t kReadyBit = 1u << 24;
+  // Cleared by init() and poison().  A guide pointer can name a block that
+  // was retired, recycled and re-initialized by an insert that has stored
+  // the node's next word but not linked it yet; that node passes every
+  // kind/level/ikey check while being unreachable, so a descent must not
+  // start from an interior node without this bit (DESIGN.md §3.3).
+  static constexpr uint32_t kLinkedBit = 1u << 25;
 
   Ikey ikey() const { return ikey_.load(std::memory_order_relaxed); }
   NodeT* down() const { return down_.load(std::memory_order_relaxed); }
@@ -119,6 +126,18 @@ struct alignas(kCacheLine) NodeT {
     return (meta.load(std::memory_order_acquire) & kReadyBit) != 0;
   }
   void set_ready() { meta.fetch_or(kReadyBit, std::memory_order_release); }
+  bool linked() const {
+    return (meta.load(std::memory_order_acquire) & kLinkedBit) != 0;
+  }
+  void set_linked() { meta.fetch_or(kLinkedBit, std::memory_order_release); }
+  // A usable search anchor reached through any pointer: a head, or an
+  // interior node that has been linked (possibly marked since).
+  bool anchorable() const {
+    const uint32_t m = meta.load(std::memory_order_acquire);
+    const auto k = static_cast<NodeKind>((m >> 16) & 0xffu);
+    return k == NodeKind::kHead ||
+           (k == NodeKind::kInterior && (m & kLinkedBit) != 0);
+  }
 
   void init(Ikey ikey, uint32_t level, uint32_t orig_height, NodeKind kind,
             NodeT* down, NodeT* root) {

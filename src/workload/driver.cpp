@@ -68,13 +68,6 @@ std::string WorkloadResult::summary() const {
      << " binsearch " << steps.probes_binsearch << ")"
      << " back " << steps.back_steps << " prev " << steps.prev_steps
      << " restarts " << steps.restarts << " walk_fb " << steps.walk_fallbacks;
-  const uint64_t fingered = steps.finger_hits + steps.finger_misses;
-  if (fingered > 0) {
-    os << "; finger " << steps.finger_hits << "/" << fingered << " hits ("
-       << 100.0 * static_cast<double>(steps.finger_hits) /
-              static_cast<double>(fingered)
-       << "%) saved-levels " << steps.hops_finger_saved;
-  }
   if (steps.batch_ops > 0) {
     const uint64_t warm = steps.cursor_reuses + steps.cursor_redescends;
     os << "; batch " << steps.batch_keys << " keys/" << steps.batch_ops

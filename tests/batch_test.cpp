@@ -2,11 +2,11 @@
 //
 // Covers sequential equivalence against the single-key operations (sorted,
 // unsorted and duplicate-bearing inputs, results reported in input order),
-// the empty batch, the cursor-reuse attribution sums (schema v4 counters),
-// the Config::use_cursor_batching ablation, the baseline's batch API, and
-// — the regression PR 5 pinned — a concurrent erase retiring a node
-// the batch cursor is parked on: the reuse screen must reject it and fall
-// back without ever reading reclaimed-and-unmapped memory (run under
+// the empty batch, the cursor-reuse attribution sums (schema v4 counters)
+// under chunked EBR pins, the baseline's batch API, the stale-hint
+// regressions (a hint left on a node that was retired, recycled and
+// re-initialized by a paused same-key insert must never answer), and a
+// concurrent erase retiring nodes the batch cursor is parked on (run under
 // -DSKIPTRIE_SANITIZE=address|thread).
 //
 // The sequential suites are TYPED_TESTs over {U64Traits, Bytes16Traits}
@@ -25,6 +25,7 @@
 #include "baseline/lockfree_skiplist.h"
 #include "common/key_traits.h"
 #include "common/stats.h"
+#include "core/batch.h"
 #include "core/skiptrie.h"
 
 namespace skiptrie {
@@ -168,49 +169,50 @@ TYPED_TEST(TypedBatchTest, EmptyBatchIsANoOp) {
 TYPED_TEST(TypedBatchTest, CursorReuseAttributionSums) {
   using Fix = TypedBatchTest<TypeParam>;
   using K = typename Fix::K;
-  // A fresh thread pins the accounting: tls cursors and fingers are
-  // thread-local, so the first seek of the first batch is deterministically
-  // cold (counts neither reuse nor redescend).
-  std::thread probe([] {
-    typename Fix::Trie t(Fix::cfg());
-    for (uint64_t k = 0; k < 512; ++k) t.insert(Fix::key(k * 4));
+  // Pinned chunks of a batch of n keys: each starts with a cold seek that
+  // counts neither reuse nor redescend.
+  const auto chunks = [](size_t n) {
+    return (n + batch_detail::kKeysPerPin - 1) / batch_detail::kKeysPerPin;
+  };
+  typename Fix::Trie t(Fix::cfg());
+  for (uint64_t k = 0; k < 512; ++k) t.insert(Fix::key(k * 4));
 
-    const std::vector<K> batch = Fix::lift(Fix::keys_mod(256, 4, 2048));
-    std::vector<K> sorted = batch;
-    std::sort(sorted.begin(), sorted.end());
+  const std::vector<K> batch = Fix::lift(Fix::keys_mod(256, 4, 2048));
+  std::vector<K> sorted = batch;
+  std::sort(sorted.begin(), sorted.end());
 
-    tls_counters() = StepCounters{};
-    t.contains_batch(sorted);
-    StepCounters c = tls_counters();
-    EXPECT_EQ(c.batch_ops, 1u);
-    EXPECT_EQ(c.batch_keys, sorted.size());
-    // Every warm seek is exactly one of reuse / redescend; the cold first
-    // seek is neither.
-    EXPECT_EQ(c.cursor_reuses + c.cursor_redescends, sorted.size() - 1);
-    // A dense sorted sweep must actually reuse (the amortization claim).
-    EXPECT_GT(c.cursor_reuses, sorted.size() / 2);
+  tls_counters() = StepCounters{};
+  t.contains_batch(sorted);
+  StepCounters c = tls_counters();
+  EXPECT_EQ(c.batch_ops, 1u);
+  EXPECT_EQ(c.batch_keys, sorted.size());
+  // Every warm seek is exactly one of reuse / redescend; the cold first
+  // seek of each pinned chunk is neither.
+  EXPECT_EQ(c.cursor_reuses + c.cursor_redescends,
+            sorted.size() - chunks(sorted.size()));
+  // A dense sorted sweep must actually reuse (the amortization claim).
+  EXPECT_GT(c.cursor_reuses, sorted.size() / 2);
 
-    // The thread's cursor persists across batch calls: the second batch has
-    // no cold seek at all.
-    tls_counters() = StepCounters{};
-    t.contains_batch(sorted);
-    c = tls_counters();
-    EXPECT_EQ(c.cursor_reuses + c.cursor_redescends, sorted.size());
+  // No row survives into the next call: it starts cold like the first.
+  tls_counters() = StepCounters{};
+  t.contains_batch(sorted);
+  c = tls_counters();
+  EXPECT_EQ(c.cursor_reuses + c.cursor_redescends,
+            sorted.size() - chunks(sorted.size()));
 
-    // Write batches follow the same ledger.
-    const std::vector<uint64_t> fresh = Fix::keys_mod(128, 4, 8192);
-    std::vector<K> ins;
-    for (const uint64_t k : fresh) ins.push_back(Fix::key(k + 2048 * 4));
-    tls_counters() = StepCounters{};
-    t.insert_batch(ins);
-    t.erase_batch(ins);
-    c = tls_counters();
-    EXPECT_EQ(c.batch_ops, 2u);
-    EXPECT_EQ(c.batch_keys, 2 * ins.size());
-    EXPECT_EQ(c.cursor_reuses + c.cursor_redescends, 2 * ins.size());
-    tls_counters() = StepCounters{};
-  });
-  probe.join();
+  // Write batches follow the same ledger.
+  const std::vector<uint64_t> fresh = Fix::keys_mod(128, 4, 8192);
+  std::vector<K> ins;
+  for (const uint64_t k : fresh) ins.push_back(Fix::key(k + 2048 * 4));
+  tls_counters() = StepCounters{};
+  t.insert_batch(ins);
+  t.erase_batch(ins);
+  c = tls_counters();
+  EXPECT_EQ(c.batch_ops, 2u);
+  EXPECT_EQ(c.batch_keys, 2 * ins.size());
+  EXPECT_EQ(c.cursor_reuses + c.cursor_redescends,
+            2 * (ins.size() - chunks(ins.size())));
+  tls_counters() = StepCounters{};
 }
 
 TYPED_TEST(TypedBatchTest, SingleKeyOpsProduceNoBatchCounters) {
@@ -225,43 +227,6 @@ TYPED_TEST(TypedBatchTest, SingleKeyOpsProduceNoBatchCounters) {
   EXPECT_EQ(c.batch_keys, 0u);
   EXPECT_EQ(c.cursor_reuses, 0u);
   EXPECT_EQ(c.cursor_redescends, 0u);
-  tls_counters() = StepCounters{};
-}
-
-TYPED_TEST(TypedBatchTest, AblationMatchesResultsAndStaysCold) {
-  using Fix = TypedBatchTest<TypeParam>;
-  using K = typename Fix::K;
-  Config off_cfg = Fix::cfg();
-  off_cfg.use_cursor_batching = false;
-  typename Fix::Trie off(off_cfg);
-  typename Fix::Trie on(Fix::cfg());
-
-  const std::vector<K> keys = Fix::lift(Fix::keys_mod(777, 7919, 16384));
-  std::vector<uint8_t> ra(keys.size()), rb(keys.size());
-  EXPECT_EQ(off.insert_batch(keys, ra.data()), on.insert_batch(keys, rb.data()));
-  EXPECT_EQ(ra, rb);
-
-  const std::vector<K> probes = Fix::lift(Fix::keys_mod(999, 31, 16384));
-  std::vector<uint8_t> ha(probes.size()), hb(probes.size());
-  EXPECT_EQ(off.contains_batch(probes, ha.data()),
-            on.contains_batch(probes, hb.data()));
-  EXPECT_EQ(ha, hb);
-  std::vector<std::optional<K>> pa(probes.size()), pb(probes.size());
-  EXPECT_EQ(off.predecessor_batch(probes, pa.data()),
-            on.predecessor_batch(probes, pb.data()));
-  EXPECT_TRUE(pa == pb);
-
-  std::vector<uint8_t> ea(keys.size()), eb(keys.size());
-  EXPECT_EQ(off.erase_batch(keys, ea.data()), on.erase_batch(keys, eb.data()));
-  EXPECT_EQ(ea, eb);
-  EXPECT_EQ(off.size(), on.size());
-
-  // The ablated structure's batches never touch the cursor.
-  tls_counters() = StepCounters{};
-  off.insert_batch(keys);
-  EXPECT_EQ(tls_counters().cursor_reuses, 0u);
-  EXPECT_EQ(tls_counters().cursor_redescends, 0u);
-  EXPECT_GT(tls_counters().batch_ops, 0u);  // API-level counters still tally
   tls_counters() = StepCounters{};
 }
 
@@ -290,25 +255,100 @@ TEST(BatchTest, BaselineBatchMatchesPerKeyOps) {
     EXPECT_EQ(p[i], plain.predecessor(probes[i])) << i;
   }
 
-  // Ablation setter mirrors Config::use_cursor_batching.
-  LockFreeSkipList abl(12);
-  abl.set_cursor_batching(false);
-  std::vector<uint8_t> r2(keys.size());
-  EXPECT_EQ(abl.insert_batch(keys, r2.data()), plain.size());
-  EXPECT_EQ(r, r2);
-  EXPECT_EQ(abl.erase_batch(keys), plain.size());
-  EXPECT_EQ(abl.size(), 0u);
+  EXPECT_EQ(batched.erase_batch(keys), inserted);
+  EXPECT_EQ(batched.size(), 0u);
+}
+
+// --- The stale-hint regressions ---------------------------------------------
+//
+// With keys {10, 20, 30}, a hint is left on 20, then 20 is erased and its
+// storage reclaimed, and a paused insert(20) is rebuilt in the recycled
+// block: make_node() re-initializes it (the arena's thread cache is LIFO,
+// so it hands back the block erase(20) retired last — 20's level-0 root)
+// and the node's next word is stored, but it is never linked.  That block
+// passes every identity screen (kind, level, ikey, unmarked) while being
+// unreachable, so a descent entered there answers from outside the set.
+
+class StaleHintTest : public ::testing::Test {
+ protected:
+  static uint64_t ik(uint64_t k) { return k + 1; }
+
+  std::vector<uint64_t> level0_keys() {
+    std::vector<uint64_t> out;
+    for (Node* n = t_.engine().first_at(0); n != nullptr;
+         n = t_.engine().next_at(n)) {
+      out.push_back(n->ikey() - 1);
+    }
+    return out;
+  }
+
+  // Erase 20, reclaim its storage, and rebuild a paused insert(20) there.
+  void recycle_20_as_paused_insert(Node** fake_out = nullptr) {
+    Node* n30 = t_.engine().first_at(0);
+    while (n30 != nullptr && n30->ikey() != ik(30)) {
+      n30 = t_.engine().next_at(n30);
+    }
+    ASSERT_NE(n30, nullptr);
+    ASSERT_TRUE(t_.erase(20));
+    t_.ebr().drain();
+    Node* fake = t_.engine().make_node(ik(20), 0, 0, nullptr, nullptr);
+    fake->next.store(pack_ptr(n30), std::memory_order_release);
+    if (fake_out != nullptr) *fake_out = fake;
+  }
+
+  SkipTrie t_;
+};
+
+TEST_F(StaleHintTest, PredecessorBatchIgnoresRecycledRow) {
+  for (uint64_t k : {10, 20, 30}) ASSERT_TRUE(t_.insert(k));
+  std::optional<uint64_t> p;
+  ASSERT_EQ(t_.predecessor_batch(std::vector<uint64_t>{25}, &p), 1u);
+  ASSERT_EQ(p, 20u);  // a level-0 row now brackets (20, 30]
+  recycle_20_as_paused_insert();
+  ASSERT_EQ(t_.predecessor_batch(std::vector<uint64_t>{25}, &p), 1u);
+  EXPECT_EQ(p, 10u);
+}
+
+TEST_F(StaleHintTest, PredecessorIgnoresRecycledNode) {
+  for (uint64_t k : {10, 20, 30}) ASSERT_TRUE(t_.insert(k));
+  for (int i = 0; i < 16; ++i) ASSERT_EQ(t_.predecessor(25), 20u);
+  recycle_20_as_paused_insert();
+  EXPECT_EQ(t_.predecessor(25), 10u);
+}
+
+TEST_F(StaleHintTest, InsertBatchNeverLinksBehindRecycledNode) {
+  ASSERT_EQ(t_.insert_batch(std::vector<uint64_t>{10, 20, 30}), 3u);
+  std::optional<uint64_t> p;
+  ASSERT_EQ(t_.predecessor_batch(std::vector<uint64_t>{25}, &p), 1u);
+  ASSERT_EQ(p, 20u);
+  recycle_20_as_paused_insert();
+  EXPECT_EQ(t_.insert_batch(std::vector<uint64_t>{25}), 1u);
+  EXPECT_EQ(level0_keys(), (std::vector<uint64_t>{10, 25, 30}));
+  EXPECT_TRUE(t_.contains(25));
+}
+
+// Guide pointers (prev and back chains, trie candidates, descent starts) can
+// reach the same recycled block; it must not anchor a walk or a descent.
+TEST_F(StaleHintTest, GuideToRecycledBlockIsRejected) {
+  for (uint64_t k : {10, 20, 30}) ASSERT_TRUE(t_.insert(k));
+  Node* fake = nullptr;
+  recycle_20_as_paused_insert(&fake);
+  ASSERT_NE(fake, nullptr);
+  EbrDomain::Guard g(t_.ebr());
+  const uint64_t x = ik(25) + 1;  // predecessor(25)'s search key
+  EXPECT_NE(t_.engine().walk_left(x, fake), fake);
+  EXPECT_EQ(t_.engine().descend(x, fake).left->ikey(), ik(10));
 }
 
 // --- The batch-vs-delete regression ----------------------------------------
 //
-// Thread A streams batched reads over a hot sorted range, so its persistent
-// cursor keeps brackets onto the hot nodes between EBR pins (each batch key
-// re-pins).  Thread B erases and reinserts exactly those keys while
-// churning a cold range hard enough to drive grace periods, so the nodes
-// A's cursor retains are retired, poisoned and recycled under A's feet.
-// A's batches must stay correct (the reuse screen rejects dead rows and
-// falls back) and the sanitizers must see no invalid access.
+// Thread A streams batched reads over a hot sorted range, so its cursor
+// keeps brackets onto the hot nodes within each pinned chunk.  Thread B
+// erases and reinserts exactly those keys while churning a cold range hard
+// enough to drive grace periods, so the nodes A's cursor has seen are
+// retired, poisoned and recycled between A's pins.  A's batches must stay
+// correct (no row outlives its pin; marked rows are skipped) and the
+// sanitizers must see no invalid access.
 
 TEST(BatchInvalidationTest, ConcurrentEraseRetiresCursorNodes) {
   SkipTrie t;

@@ -29,6 +29,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -170,6 +171,23 @@ TEST(ServiceBasic, EmptyRequestAndCallbackFlavor) {
   });
   done.get_future().wait();
   EXPECT_EQ(called.load(), 1);
+}
+
+// An out-of-universe key is rejected on the submitting thread before any op
+// of its request is queued: past the last shard it would index outside the
+// routing table, and on a worker the shard's exception would end the
+// process.
+TEST(ServiceBasic, OutOfUniverseKeyThrowsOnSubmit) {
+  for (const uint32_t shards : {1u, 4u}) {
+    Service svc(service_cfg(shards));
+    const uint64_t over = svc.engine().max_key() + 1;
+    EXPECT_THROW(svc.submit({{ServiceOp::kInsert, 7},
+                             {ServiceOp::kInsert, over}}),
+                 std::out_of_range)
+        << shards;
+    EXPECT_FALSE(svc.submit({{ServiceOp::kContains, 7}}).get().results[0].ok)
+        << shards;
+  }
 }
 
 TEST(ServiceBasic, QueueAttributionCountersFlow) {

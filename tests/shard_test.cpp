@@ -239,7 +239,7 @@ TEST(ShardStats, ShardBatchCounterCountsSubBatches) {
 //
 // The acceptance bar: a ShardedEngine at shards=1 must report exactly the
 // unsharded engine's per-op step counts on the same stream.  Fresh threads
-// give both engines cold thread-local finger/cursor state; seed-stable
+// give both engines cold thread-local cursor state; seed-stable
 // tower heights make the structures identical; so every search counter must
 // match to the step.
 TEST(ShardStats, ShardsEqualOneReproducesUnshardedStepCounts) {

@@ -6,10 +6,12 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "common/bitops.h"
 #include "common/key_traits.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "core/validate.h"
 
 namespace skiptrie {
@@ -216,6 +218,18 @@ TEST(SkipTrie, UniverseBits64) {
   EXPECT_EQ(t.predecessor(t.max_key()).value(), big);
 }
 
+TEST(SkipTrie, HopAttributionSumsToNodeHops) {
+  SkipTrie t;
+  tls_counters() = StepCounters{};
+  for (uint64_t k = 0; k < 2000; ++k) t.insert((k * 2654435761u) % 100000);
+  for (uint64_t k = 0; k < 2000; ++k) t.predecessor(k * 50 % 100000);
+  for (uint64_t k = 0; k < 500; ++k) t.erase((k * 2654435761u) % 100000);
+  const StepCounters& c = tls_counters();
+  EXPECT_GT(c.node_hops, 0u);
+  EXPECT_EQ(c.node_hops, c.hops_top + c.hops_descent);
+  tls_counters() = StepCounters{};
+}
+
 TEST(SkipTrie, MinimalUniverse) {
   Config c = small_cfg(4);  // keys 0..15
   SkipTrie t(c);
@@ -254,6 +268,63 @@ TYPED_TEST(UniverseBits, EdgesAcceptedAndOutOfRangeThrows) {
     Config c;
     c.universe_bits = bits;
     EXPECT_THROW(Trie t(c), std::invalid_argument) << "B=" << bits;
+  }
+}
+
+// Keys above max_key() are rejected by every keyed operation in every build
+// (NDEBUG included) before the structure is touched — a batch throws before
+// applying any of its keys — while max_key() itself is an ordinary key.
+// Without the check, B = 32 accepted max_key() + 1 as a key predecessor
+// queries never see, and B = kMaxBits collided it with the tail sentinel.
+TYPED_TEST(UniverseBits, KeysAboveMaxKeyThrowFromEveryOp) {
+  using Trie = BasicSkipTrie<TypeParam>;
+  using K = typename TypeParam::key_type;
+  for (const uint32_t bits : {32u, TypeParam::kMaxBits}) {
+    Config c;
+    c.universe_bits = bits;
+    Trie t(c);
+    const K top = t.max_key();
+    const K over = top + K(1);
+    const std::vector<K> edge = {K(7), top};
+
+    EXPECT_TRUE(t.insert(K(7))) << "B=" << bits;
+    EXPECT_TRUE(t.insert(top)) << "B=" << bits;
+    EXPECT_TRUE(t.contains(top)) << "B=" << bits;
+    EXPECT_EQ(t.predecessor(top).value(), top) << "B=" << bits;
+    EXPECT_EQ(t.strict_predecessor(top).value(), K(7)) << "B=" << bits;
+    EXPECT_EQ(t.successor(K(7)).value(), top) << "B=" << bits;
+    EXPECT_FALSE(t.successor(top).has_value()) << "B=" << bits;
+    EXPECT_TRUE(t.erase(top)) << "B=" << bits;
+    EXPECT_EQ(t.insert_batch(edge), 1u) << "B=" << bits;
+    EXPECT_EQ(t.contains_batch(edge), 2u) << "B=" << bits;
+    std::vector<std::optional<K>> preds(edge.size());
+    EXPECT_EQ(t.predecessor_batch(edge, preds.data()), 2u) << "B=" << bits;
+    EXPECT_TRUE(preds[1] == std::optional<K>(top)) << "B=" << bits;
+    EXPECT_EQ(t.erase_batch(std::vector<K>{top}), 1u) << "B=" << bits;
+    EXPECT_TRUE(t.insert(top)) << "B=" << bits;
+
+    const std::vector<K> mixed = {K(1), over, K(2)};
+    EXPECT_THROW(t.insert(over), std::out_of_range) << "B=" << bits;
+    EXPECT_THROW(t.erase(over), std::out_of_range) << "B=" << bits;
+    EXPECT_THROW(t.contains(over), std::out_of_range) << "B=" << bits;
+    EXPECT_THROW(t.predecessor(over), std::out_of_range) << "B=" << bits;
+    EXPECT_THROW(t.strict_predecessor(over), std::out_of_range)
+        << "B=" << bits;
+    EXPECT_THROW(t.successor(over), std::out_of_range) << "B=" << bits;
+    EXPECT_THROW(t.insert_batch(mixed), std::out_of_range) << "B=" << bits;
+    EXPECT_THROW(t.erase_batch(std::vector<K>{K(7), over}), std::out_of_range)
+        << "B=" << bits;
+    EXPECT_THROW(t.contains_batch(mixed), std::out_of_range) << "B=" << bits;
+    EXPECT_THROW(t.predecessor_batch(mixed), std::out_of_range)
+        << "B=" << bits;
+
+    // The set is unchanged: exactly {7, max_key()}.
+    EXPECT_EQ(t.size(), 2u) << "B=" << bits;
+    std::vector<K> seen;
+    t.for_each_in_range(K(0), top, [&](K k) { seen.push_back(k); });
+    EXPECT_TRUE(seen == edge) << "B=" << bits;
+    const auto errors = validate_structure(t);
+    EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
   }
 }
 

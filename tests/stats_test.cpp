@@ -15,7 +15,6 @@ TEST(Stats, AccumulateAndSubtract) {
   a.hash_probes = 3;
   a.probes_lookup = 2;
   a.probes_chain = 1;
-  a.finger_hits = 7;
   StepCounters b;
   b.node_hops = 4;
   b.hops_top = 1;
@@ -24,9 +23,6 @@ TEST(Stats, AccumulateAndSubtract) {
   b.cas_attempts = 2;
   b.probes_binsearch = 5;
   b.walk_fallbacks = 1;
-  b.finger_hits = 2;
-  b.finger_misses = 3;
-  b.hops_finger_saved = 9;
   a.cursor_reuses = 6;
   a.batch_keys = 32;
   b.cursor_reuses = 4;
@@ -52,9 +48,6 @@ TEST(Stats, AccumulateAndSubtract) {
   EXPECT_EQ(sum.probes_chain, 1u);
   EXPECT_EQ(sum.probes_binsearch, 5u);
   EXPECT_EQ(sum.walk_fallbacks, 1u);
-  EXPECT_EQ(sum.finger_hits, 9u);
-  EXPECT_EQ(sum.finger_misses, 3u);
-  EXPECT_EQ(sum.hops_finger_saved, 9u);
   EXPECT_EQ(sum.cursor_reuses, 10u);
   EXPECT_EQ(sum.cursor_redescends, 2u);
   EXPECT_EQ(sum.batch_ops, 1u);
@@ -75,9 +68,6 @@ TEST(Stats, AccumulateAndSubtract) {
   EXPECT_EQ(diff.probes_binsearch, 0u);
   EXPECT_EQ(diff.walk_fallbacks, 0u);
   EXPECT_EQ(diff.probes_lookup, a.probes_lookup);
-  EXPECT_EQ(diff.finger_hits, a.finger_hits);
-  EXPECT_EQ(diff.finger_misses, 0u);
-  EXPECT_EQ(diff.hops_finger_saved, 0u);
   EXPECT_EQ(diff.cursor_reuses, a.cursor_reuses);
   EXPECT_EQ(diff.cursor_redescends, 0u);
   EXPECT_EQ(diff.batch_ops, 0u);
@@ -124,9 +114,6 @@ TEST(Stats, SearchStepsDefinition) {
   c.walk_fallbacks = 3;
   c.hops_top = 2;
   c.hops_descent = 3;
-  c.finger_hits = 1;
-  c.finger_misses = 1;
-  c.hops_finger_saved = 4;
   EXPECT_EQ(c.search_steps(), 9u);
   EXPECT_GT(c.total_steps(), c.search_steps());
   EXPECT_EQ(c.total_steps(), 109u);

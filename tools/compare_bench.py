@@ -21,11 +21,12 @@ Designed to run as a non-fatal CI report step:
 
     tools/compare_bench.py BENCH_suite.json build/BENCH_suite_quick.json
 
-Schema: accepts v1 through v9 files; counters missing from an older file
+Schema: accepts v1 through v10 files; counters missing from an older file
 are skipped (reported as "new"), never treated as zero.  The v7/v8
 ablation axes were dropped in v9 together with the layers they toggled;
 v7/v8 cells join v9 cells on the remaining axes, and cells of the deleted
-ablation sections match nothing.
+ablation sections match nothing.  v10 only dropped the finger counters, so
+v9 and v10 cells join on the same key.
 
 `--self-test` runs the built-in join unit test (no input files needed);
 it is registered in ctest so the cross-version join cannot bit-rot.
@@ -44,9 +45,6 @@ JOIN_KEY = ("section", "structure", "universe_bits", "threads", "mix",
 # u64-keyed).
 JOIN_DEFAULTS = {"batch_size": 1, "shards": 1, "key_kind": "u64"}
 
-# Note: the finger counters (finger_hits/misses, hops_finger_saved) are
-# intentionally absent — a hit-rate shift is not by itself a regression;
-# its cost shows up in node_hops / hops_top / hops_descent, which are.
 # Of the schema-v4 cursor counters, cursor_redescends is compared (within a
 # joined cell the batching axis is fixed, so more redescends on the same
 # stream means retained brackets stopped serving — a silent constant
@@ -78,7 +76,7 @@ def self_test():
     """Unit test of the cross-version join: a pre-v5 cell (no `shards` key)
     must land on the v5 cell with shards == 1 and on nothing else; a pre-v6
     cell (no `key_kind`) must land on the v6 cell with key_kind == "u64" and
-    never on a bytes16 cell."""
+    never on a bytes16 cell; a v9 cell must land on its v10 twin."""
     def cell(**kw):
         c = {"section": "grid", "structure": "skiptrie", "universe_bits": 32,
              "threads": 1, "mix": "balanced", "dist": "uniform", "repeat": 0,
@@ -140,8 +138,28 @@ def self_test():
     kept6 = [k for k in cand6 if k[ki] == "u64"]
     assert len(kept6) == 1, "--key-kind u64 must drop both bytes16 cells"
 
-    print("compare_bench --self-test: ok (join v4->v5->v6, shards/key_kind "
-          "defaults, --max-shards/--key-kind filters)")
+    # v9 -> v10: the finger counters left `steps`; the join key did not
+    # change, so a v9 cell lands on its v10 twin and compares the counters
+    # both sides still carry.
+    v9 = {"schema_version": 9, "cells": [
+        cell(batch_size=1, shards=1, key_kind="u64",
+             steps={"node_hops": 300, "hash_probes": 200, "finger_hits": 7,
+                    "finger_misses": 3}),
+    ]}
+    v10 = {"schema_version": 10, "cells": [
+        cell(batch_size=1, shards=1, key_kind="u64",
+             steps={"node_hops": 330, "hash_probes": 200}),
+    ]}
+    base10, cand10 = cells_of(v9), cells_of(v10)
+    shared10 = set(base10) & set(cand10)
+    assert len(shared10) == 1, "a v9 cell must join its v10 twin"
+    k10 = next(iter(shared10))
+    mb10, mc10 = metrics_of(base10[k10]), metrics_of(cand10[k10])
+    assert set(mb10) == set(mc10), "v9/v10 twins must compare the same metrics"
+    assert abs(mc10["steps.node_hops/op"] - 3.3) < 1e-9
+
+    print("compare_bench --self-test: ok (join v4->v5->v6, v9->v10, "
+          "shards/key_kind defaults, --max-shards/--key-kind filters)")
     return 0
 
 

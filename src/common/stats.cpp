@@ -23,9 +23,6 @@ StepCounters& StepCounters::operator+=(const StepCounters& o) {
   trie_level_ops += o.trie_level_ops;
   retired_nodes += o.retired_nodes;
   bytes_touched += o.bytes_touched;
-  chunk_scans += o.chunk_scans;
-  finger_hits += o.finger_hits;
-  finger_misses += o.finger_misses;
   cursor_reuses += o.cursor_reuses;
   cursor_redescends += o.cursor_redescends;
   batch_ops += o.batch_ops;
@@ -36,9 +33,6 @@ StepCounters& StepCounters::operator+=(const StepCounters& o) {
   queue_full_waits += o.queue_full_waits;
   queue_depth_sum += o.queue_depth_sum;
   queue_wait_ns += o.queue_wait_ns;
-  adapt_checks += o.adapt_checks;
-  promotions += o.promotions;
-  demotions += o.demotions;
   return *this;
 }
 
@@ -64,9 +58,6 @@ StepCounters StepCounters::operator-(const StepCounters& o) const {
   r.trie_level_ops -= o.trie_level_ops;
   r.retired_nodes -= o.retired_nodes;
   r.bytes_touched -= o.bytes_touched;
-  r.chunk_scans -= o.chunk_scans;
-  r.finger_hits -= o.finger_hits;
-  r.finger_misses -= o.finger_misses;
   r.cursor_reuses -= o.cursor_reuses;
   r.cursor_redescends -= o.cursor_redescends;
   r.batch_ops -= o.batch_ops;
@@ -77,9 +68,6 @@ StepCounters StepCounters::operator-(const StepCounters& o) const {
   r.queue_full_waits -= o.queue_full_waits;
   r.queue_depth_sum -= o.queue_depth_sum;
   r.queue_wait_ns -= o.queue_wait_ns;
-  r.adapt_checks -= o.adapt_checks;
-  r.promotions -= o.promotions;
-  r.demotions -= o.demotions;
   return r;
 }
 

@@ -51,7 +51,8 @@ struct StepCounters {
   // not enter search_steps()/total_steps().
   uint64_t bytes_touched = 0;
   // Always 0: the structure has no leaf chunks and no search finger.  Kept
-  // only for perfbench's per-layer report, which still reads them.
+  // only for perfbench's per-layer report, which still reads them; nothing
+  // writes them, so operator+= and operator- leave them out.
   uint64_t chunk_scans = 0;
   uint64_t finger_hits = 0;
   uint64_t finger_misses = 0;
@@ -83,7 +84,8 @@ struct StepCounters {
   uint64_t queue_wait_ns = 0;     // ns between a subtask's enqueue and a
                                   // worker dequeuing it
   // Always 0: tower heights are the fixed deterministic draw.  Kept only
-  // for perfbench's per-layer report, which still reads them.
+  // for perfbench's per-layer report, which still reads them (and, like
+  // chunk_scans, left out of operator+= and operator-).
   uint64_t adapt_checks = 0;
   uint64_t promotions = 0;
   uint64_t demotions = 0;

@@ -29,8 +29,9 @@
 //
 // Key range: [0, max_key()], i.e. [0, 2^B) for B < Traits::kMaxBits; at
 // B = kMaxBits the two largest keys of the universe are reserved for
-// sentinels.  Every operation that takes a key throws std::out_of_range for
-// a key above max_key(), in every build, before touching the structure.
+// sentinels.  Every point operation and batch throws std::out_of_range for
+// a key above max_key(), in every build, before touching the structure; the
+// range queries instead clip [lo, hi] to [0, max_key()].
 #pragma once
 
 #include <atomic>
@@ -130,8 +131,11 @@ class BasicSkipTrie {
   // under concurrency (like java.util.concurrent iterators): keys inserted
   // or removed during the traversal may or may not be observed, but every
   // key reported was present at some point during the call, in order.
+  // The range is clipped to [0, max_key()], so hi may be any key.
   template <typename F>
   void for_each_in_range(key_type lo, key_type hi, F f) const {
+    const key_type top = max_key();
+    if (hi > top) hi = top;
     if (lo > hi) return;
     EbrDomain::Guard g(ebr_);
     const typename Engine::Bracket b = locate(lo, ikey_of(lo));

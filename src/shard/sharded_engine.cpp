@@ -1,6 +1,7 @@
 #include "shard/sharded_engine.h"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "common/stats.h"
 #include "core/batch.h"
@@ -45,6 +46,13 @@ auto BasicShardedEngine<Traits>::max_key() const -> key_type {
 }
 
 template <typename Traits>
+void BasicShardedEngine<Traits>::check_key(key_type key) const {
+  if (key > max_key()) {
+    throw std::out_of_range("ShardedEngine key outside the universe");
+  }
+}
+
+template <typename Traits>
 auto BasicShardedEngine<Traits>::max_below(uint32_t s) const
     -> std::optional<key_type> {
   for (uint32_t t = s; t-- > 0;) {
@@ -67,7 +75,7 @@ auto BasicShardedEngine<Traits>::min_above(uint32_t s) const
 template <typename Traits>
 auto BasicShardedEngine<Traits>::predecessor(key_type key) const
     -> std::optional<key_type> {
-  assert(key <= max_key());
+  check_key(key);
   const uint32_t s = shard_of(key);
   const std::optional<key_type> r = shards_[s]->predecessor(low_of(key));
   if (r.has_value()) return global_key(s, *r);
@@ -77,7 +85,7 @@ auto BasicShardedEngine<Traits>::predecessor(key_type key) const
 template <typename Traits>
 auto BasicShardedEngine<Traits>::strict_predecessor(key_type key) const
     -> std::optional<key_type> {
-  assert(key <= max_key());
+  check_key(key);
   const uint32_t s = shard_of(key);
   const std::optional<key_type> r = shards_[s]->strict_predecessor(low_of(key));
   if (r.has_value()) return global_key(s, *r);
@@ -87,7 +95,7 @@ auto BasicShardedEngine<Traits>::strict_predecessor(key_type key) const
 template <typename Traits>
 auto BasicShardedEngine<Traits>::successor(key_type key) const
     -> std::optional<key_type> {
-  assert(key <= max_key());
+  check_key(key);
   const uint32_t s = shard_of(key);
   const std::optional<key_type> r = shards_[s]->successor(low_of(key));
   if (r.has_value()) return global_key(s, *r);
@@ -156,6 +164,7 @@ size_t BasicShardedEngine<Traits>::insert_batch(const key_type* keys, size_t n,
     tls_counters().shard_batches++;
     return shards_[0]->insert_batch(keys, n, results);
   }
+  check_keys(keys, n);
   size_t hits = 0;
   std::vector<uint8_t> scratch;
   split_sorted(
@@ -182,6 +191,7 @@ size_t BasicShardedEngine<Traits>::erase_batch(const key_type* keys, size_t n,
     tls_counters().shard_batches++;
     return shards_[0]->erase_batch(keys, n, results);
   }
+  check_keys(keys, n);
   size_t hits = 0;
   std::vector<uint8_t> scratch;
   split_sorted(
@@ -209,6 +219,7 @@ size_t BasicShardedEngine<Traits>::contains_batch(const key_type* keys,
     tls_counters().shard_batches++;
     return shards_[0]->contains_batch(keys, n, results);
   }
+  check_keys(keys, n);
   size_t hits = 0;
   std::vector<uint8_t> scratch;
   split_sorted(
@@ -236,6 +247,7 @@ size_t BasicShardedEngine<Traits>::predecessor_batch(
     tls_counters().shard_batches++;
     return shards_[0]->predecessor_batch(keys, n, results);
   }
+  check_keys(keys, n);
   size_t hits = 0;
   std::vector<std::optional<key_type>> scratch;
   // The cross-shard fallback is the same value for every empty-answer key

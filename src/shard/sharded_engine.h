@@ -69,9 +69,19 @@ class BasicShardedEngine {
   BasicShardedEngine& operator=(const BasicShardedEngine&) = delete;
 
   // --- Single-key operations (route by top bits) --------------------------
-  bool insert(key_type key) { return shards_[shard_of(key)]->insert(low_of(key)); }
-  bool erase(key_type key) { return shards_[shard_of(key)]->erase(low_of(key)); }
+  // Every keyed operation, batches included, throws std::out_of_range for a
+  // key above max_key(), in every build, before routing it (a batch before
+  // applying any key).
+  bool insert(key_type key) {
+    check_key(key);
+    return shards_[shard_of(key)]->insert(low_of(key));
+  }
+  bool erase(key_type key) {
+    check_key(key);
+    return shards_[shard_of(key)]->erase(low_of(key));
+  }
   bool contains(key_type key) const {
+    check_key(key);
     return shards_[shard_of(key)]->contains(low_of(key));
   }
   std::optional<key_type> predecessor(key_type key) const;
@@ -167,6 +177,13 @@ class BasicShardedEngine {
   key_type low_mask_ = key_type(0);
   std::vector<std::unique_ptr<Trie>> shards_;
 
+  // Throws std::out_of_range when key > max_key().  Past the last shard
+  // shard_of(key) would index outside shards_ (B < W), and at B = W the two
+  // sentinel-reserved keys would land in the last shard as ordinary low keys.
+  void check_key(key_type key) const;
+  void check_keys(const key_type* keys, size_t n) const {
+    for (size_t i = 0; i < n; ++i) check_key(keys[i]);
+  }
   // Largest global key in any shard strictly below `s`, or nullopt.
   std::optional<key_type> max_below(uint32_t s) const;
   // Smallest global key in any shard strictly above `s`, or nullopt.

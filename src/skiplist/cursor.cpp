@@ -44,7 +44,7 @@ auto BasicDescentCursor<Traits>::seek(Ikey x, StartFn fallback, void* env)
       if (!(left_ikey_[l] < x && x <= right_ikey_[l])) continue;
       if (!row_validates(l)) continue;
       c.cursor_reuses++;
-      return e.descend_from(x, left_[l], l, left_, this);
+      return e.descend_from(x, left_[l], l, /*guide=*/false, left_, this);
     }
     c.cursor_redescends++;
     // Every bracket went stale, but on an ascending stream the retained
@@ -53,7 +53,8 @@ auto BasicDescentCursor<Traits>::seek(Ikey x, StartFn fallback, void* env)
     // after the chunk's first key).  Amortized over a chunk, the top walk
     // crosses each top-level node of the swept range once.
     if (top_entry_usable(x) && row_validates(top)) {
-      return e.descend_from(x, left_[top], top, left_, this);
+      return e.descend_from(x, left_[top], top, /*guide=*/false, left_,
+                            this);
     }
   } else {
     // Cold: head-fill every row first (the descent then overwrites the rows
@@ -67,7 +68,7 @@ auto BasicDescentCursor<Traits>::seek(Ikey x, StartFn fallback, void* env)
   }
   Node_t* start = fallback != nullptr ? fallback(env, x) : e.head_[top];
   const uint32_t lvl = e.resolve_start(x, start);
-  return e.descend_from(x, start, lvl, left_, this);
+  return e.descend_from(x, start, lvl, /*guide=*/true, left_, this);
 }
 
 template <typename Traits>

@@ -87,45 +87,63 @@ void BasicSkipListEngine<Traits>::retire_owned(const EraseResult& r) {
 
 template <typename Traits>
 bool BasicSkipListEngine<Traits>::usable_start(Node_t* n, Ikey x,
-                                               uint32_t level) const {
-  if (n == nullptr || !n->anchorable()) return false;
+                                               uint32_t level,
+                                               bool guide) const {
+  if (n == nullptr) return false;
+  if (guide) {
+    if (!n->anchorable()) return false;
+  } else {
+    const NodeKind k = n->kind();
+    if (k != NodeKind::kInterior && k != NodeKind::kHead) return false;
+  }
   if (n->level() != level) return false;
   return n->ikey() < x;
 }
 
 template <typename Traits>
 auto BasicSkipListEngine<Traits>::list_search(Ikey x, Node_t* start,
-                                              uint32_t level) -> Bracket {
+                                              uint32_t level, bool guide)
+    -> Bracket {
   assert(level <= top_);
   auto& c = tls_counters();
   Node_t* left = start;
   for (;;) {
-    if (!usable_start(left, x, level)) {
+    // A guide may name a block that is recycled at any moment (DESIGN.md
+    // §3.3): its life count, read before the screen and again after the
+    // next word, shows whether all of those reads came from one life.
+    const uint32_t life = guide && left != nullptr ? left->life() : 0;
+    if (!usable_start(left, x, level, guide)) {
       c.restarts++;
       left = head_[level];
+      guide = false;
     }
     Node_t* pred = left;
     const uint64_t pred_word = dcss_read(pred->next);
-    if (!pred->anchorable()) {
-      // Recycled and re-initialized since usable_start: pred_word may be
-      // an unlinked insert's next word (DESIGN.md §3.3).
+    if (guide && pred->life() != life) {
       c.restarts++;
       left = head_[level];
+      guide = false;
       continue;
     }
     if (is_marked(pred_word)) {
-      // Our anchor got marked: recover through its back pointer (validated
-      // at the top of the loop; falls back to the head if the guide is
+      // Our anchor got marked: recover through its back pointer, a guide
+      // (validated at the top of the loop; falls back to the head if it is
       // stale or poisoned).
       c.back_steps++;
       c.bytes_touched += kCacheLine;
       left = pred->back.load(std::memory_order_acquire);
+      guide = true;
       continue;
     }
+    // An unmarked word read under the pin from a linked life: the anchor
+    // cannot be recycled before the pin ends, like any traversed node.
+    guide = false;
     Node_t* curr = unpack_ptr<Node_t>(pred_word);
     bool restart = false;
     while (!restart) {
       if (curr == nullptr) {  // defensive: only poisoned chains end in null
+        c.restarts++;
+        left = head_[level];
         restart = true;
         break;
       }
@@ -172,10 +190,12 @@ uint32_t BasicSkipListEngine<Traits>::resolve_start(Ikey x, Node_t*& cur) {
 
 template <typename Traits>
 auto BasicSkipListEngine<Traits>::descend_from(Ikey x, Node_t* cur,
-                                               uint32_t lvl, Node_t** hints,
-                                               Cursor* rec) -> Bracket {
+                                               uint32_t lvl, bool guide,
+                                               Node_t** hints, Cursor* rec)
+    -> Bracket {
   for (;;) {
-    Bracket b = list_search(x, cur, lvl);
+    Bracket b = list_search(x, cur, lvl, guide);
+    guide = false;  // down() of a traversed node is traversed too
     if (hints != nullptr) hints[lvl] = b.left;
     if (rec != nullptr) {
       rec->left_[lvl] = b.left;
@@ -197,7 +217,7 @@ auto BasicSkipListEngine<Traits>::descend(Ikey x, Node_t* start,
   }
   Node_t* cur = start;
   const uint32_t lvl = resolve_start(x, cur);
-  return descend_from(x, cur, lvl, hints);
+  return descend_from(x, cur, lvl, /*guide=*/true, hints);
 }
 
 template <typename Traits>
@@ -353,7 +373,7 @@ auto BasicSkipListEngine<Traits>::raise_level(Node_t* root, Node_t* nnode,
       return RaiseStatus::kStoppedUnpublished;  // same key already here
     }
     // Release: a reader that reads this word through a stale guide then
-    // sees init()'s cleared linked bit (DESIGN.md §3.3).
+    // sees the block's advanced life count (DESIGN.md §3.3).
     nnode->next.store(pack_ptr(b.right), std::memory_order_release);
     // The paper (§2): "Each insertion is conditioned on the stop flag of the
     // root remaining unset" — DCSS on the predecessor link guarded by stopw.

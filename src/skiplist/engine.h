@@ -89,8 +89,12 @@ class BasicSkipListEngine {
   // left.next == right at some point during the call; unlinks marked nodes
   // it crosses.  `start` is only a hint — it is validated and the search
   // falls back to the level head when the hint is unusable (stale guides,
-  // poisoned storage, wrong level).
-  Bracket list_search(Ikey x, Node_t* start, uint32_t level);
+  // poisoned storage, wrong level).  Pass guide = true unless `start` was
+  // traversed under the caller's current EBR pin: a guide may name a
+  // recycled block, so it must also carry the linked bit and keep one life
+  // across the read of its next word (DESIGN.md §3.3).
+  Bracket list_search(Ikey x, Node_t* start, uint32_t level,
+                      bool guide = false);
 
   // Descend from `start` (any level; validated) to level 0, returning the
   // level-0 bracket.  If hints != nullptr it receives the per-level left
@@ -173,16 +177,19 @@ class BasicSkipListEngine {
                            // trie-sweep then retire the marked node
   };
 
-  bool usable_start(Node_t* n, Ikey x, uint32_t level) const;
+  // Kind/level/ikey screen of a search anchor; a guide (see list_search)
+  // must also carry the linked bit.
+  bool usable_start(Node_t* n, Ikey x, uint32_t level, bool guide) const;
   // Validate `cur` as a descent start; falls back to the top-level head
   // (counting a restart).  Returns the level the descent begins at.
   uint32_t resolve_start(Ikey x, Node_t*& cur);
   // Core descent loop from (cur, lvl): fills hints[l] for every traversed
   // level (callers pre-fill untraversed levels) and, when rec != nullptr,
   // records every traversed bracket into the cursor's rows (hints is then
-  // rec's own left array).
-  Bracket descend_from(Ikey x, Node_t* cur, uint32_t lvl, Node_t** hints,
-                       Cursor* rec = nullptr);
+  // rec's own left array).  `guide` says whether cur is a guide (see
+  // list_search); every lower level starts from a traversed node.
+  Bracket descend_from(Ikey x, Node_t* cur, uint32_t lvl, bool guide,
+                       Node_t** hints, Cursor* rec = nullptr);
   // Post-descent bodies shared by the single-key and cursor entry points.
   InsertResult insert_from(Ikey x, uint32_t height, Node_t** hints,
                            Bracket b);

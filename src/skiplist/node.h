@@ -21,12 +21,13 @@
 //          "(right.prev, right.marked)" as one word.
 //   stopw  root only: set to 1 by the delete operation that claims the
 //          tower; tower raising is DCSS-guarded on stopw == 0 (paper §2).
-//   meta   packed {level, orig_height, kind, ready, linked}; level/height/
-//          kind are written before publication and at poison time; the
-//          ready bit (top-level only: fixPrev has installed the prev
-//          pointer) and the linked bit (the node has been linked into its
-//          level's list) are each set once via fetch_or.  Atomic with
-//          relaxed access for the packed fields, acquire for the bits.
+//   meta   packed {level, orig_height, kind, ready, linked, life};
+//          level/height/kind are written before publication and at poison
+//          time; the ready bit (top-level only: fixPrev has installed the
+//          prev pointer) and the linked bit (the node has been linked into
+//          its level's list) are each set once via fetch_or; the life
+//          counter advances at every poison().  Atomic with relaxed access
+//          for the packed fields, acquire for the bits and the counter.
 //
 // Every field that a stale guide pointer could cause another thread to read
 // concurrently with poisoning is an atomic; accesses that merely validate
@@ -99,15 +100,22 @@ struct alignas(kCacheLine) NodeT {
   std::atomic<uint64_t> prevw{0};
   std::atomic<uint64_t> stopw{0};
   std::atomic<uint32_t> meta{0};  // level | orig_height<<8 | kind<<16
-                                  //       | ready<<24 | linked<<25
+                                  // | ready<<24 | linked<<25 | life<<26
 
   static constexpr uint32_t kReadyBit = 1u << 24;
   // Cleared by init() and poison().  A guide pointer can name a block that
   // was retired, recycled and re-initialized by an insert that has stored
   // the node's next word but not linked it yet; that node passes every
-  // kind/level/ikey check while being unreachable, so a descent must not
-  // start from an interior node without this bit (DESIGN.md §3.3).
+  // kind/level/ikey check while being unreachable, so a search must not
+  // anchor on a guide to an interior node without this bit (DESIGN.md §3.3).
   static constexpr uint32_t kLinkedBit = 1u << 25;
+  // Six-bit count of the block's lives: poison() advances it and init()
+  // keeps it.  A reader holding a guide pointer compares it before and
+  // after reading the node's next word; equal counts mean every read in
+  // between came from one life (DESIGN.md §3.3).  Aliasing needs 64
+  // recycles of one block between a reader's two loads.
+  static constexpr uint32_t kLifeShift = 26;
+  static constexpr uint32_t kLifeMask = 0x3fu << kLifeShift;
 
   Ikey ikey() const { return ikey_.load(std::memory_order_relaxed); }
   NodeT* down() const { return down_.load(std::memory_order_relaxed); }
@@ -130,6 +138,9 @@ struct alignas(kCacheLine) NodeT {
     return (meta.load(std::memory_order_acquire) & kLinkedBit) != 0;
   }
   void set_linked() { meta.fetch_or(kLinkedBit, std::memory_order_release); }
+  uint32_t life() const {
+    return meta.load(std::memory_order_acquire) & kLifeMask;
+  }
   // A usable search anchor reached through any pointer: a head, or an
   // interior node that has been linked (possibly marked since).
   bool anchorable() const {
@@ -149,7 +160,8 @@ struct alignas(kCacheLine) NodeT {
     prevw.store(0, std::memory_order_relaxed);
     stopw.store(0, std::memory_order_relaxed);
     meta.store(level | (orig_height << 8) |
-                   (static_cast<uint32_t>(kind) << 16),
+                   (static_cast<uint32_t>(kind) << 16) |
+                   (meta.load(std::memory_order_relaxed) & kLifeMask),
                std::memory_order_release);
   }
 
@@ -164,7 +176,11 @@ struct alignas(kCacheLine) NodeT {
     next.store(kMark, std::memory_order_relaxed);
     prevw.store(kMark, std::memory_order_relaxed);
     stopw.store(1, std::memory_order_relaxed);
-    meta.store(0xffu | (static_cast<uint32_t>(NodeKind::kPoison) << 16),
+    const uint32_t life =
+        (meta.load(std::memory_order_relaxed) + (1u << kLifeShift)) &
+        kLifeMask;
+    meta.store(0xffu | (static_cast<uint32_t>(NodeKind::kPoison) << 16) |
+                   life,
                std::memory_order_release);
   }
 };

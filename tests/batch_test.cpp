@@ -27,6 +27,7 @@
 #include "common/stats.h"
 #include "core/batch.h"
 #include "core/skiptrie.h"
+#include "skiplist/cursor.h"
 
 namespace skiptrie {
 namespace {
@@ -338,6 +339,32 @@ TEST_F(StaleHintTest, GuideToRecycledBlockIsRejected) {
   const uint64_t x = ik(25) + 1;  // predecessor(25)'s search key
   EXPECT_NE(t_.engine().walk_left(x, fake), fake);
   EXPECT_EQ(t_.engine().descend(x, fake).left->ikey(), ik(10));
+}
+
+// A node reached by traversal under the current pin cannot be recycled, so
+// it may anchor a search without the linked bit: its inserter may have
+// linked it and been preempted before set_linked().  Only guides need the
+// bit; requiring it here would restart the search from the level head,
+// which at level 0 walks the whole list.
+TEST_F(StaleHintTest, TraversedNodeWithoutLinkedBitStillAnchors) {
+  for (uint64_t k : {10, 20, 30}) ASSERT_TRUE(t_.insert(k));
+  Node* n20 = t_.engine().first_at(0);
+  while (n20 != nullptr && n20->ikey() != ik(20)) {
+    n20 = t_.engine().next_at(n20);
+  }
+  ASSERT_NE(n20, nullptr);
+  EbrDomain::Guard g(t_.ebr());
+  DescentCursor cur(t_.engine());
+  ASSERT_EQ(cur.seek(ik(25) + 1, nullptr, nullptr).left, n20);
+  n20->meta.fetch_and(~Node::kLinkedBit);  // linked, set_linked() pending
+  const StepCounters before = tls_counters();
+  const auto b = cur.seek(ik(26) + 1, nullptr, nullptr);  // reuses row 0
+  const StepCounters d = tls_counters() - before;
+  n20->set_linked();
+  EXPECT_EQ(b.left, n20);
+  EXPECT_EQ(d.cursor_reuses, 1u);
+  EXPECT_EQ(d.restarts, 0u);
+  EXPECT_EQ(d.node_hops, 1u);  // 20 -> 30, not a walk from the head
 }
 
 // --- The batch-vs-delete regression ----------------------------------------

@@ -183,8 +183,10 @@ TEST(RegistryAliasingTest, CursorsStayDistinctAndStableAcrossManyOwners) {
         EXPECT_NE(cursors[i], cursors[j]) << i << "," << j;
       }
     }
-    // A split batch visits shards round-robin; every revisit must find the
-    // shard's own cursor (stream state intact), not a recycled slot.
+    // A split batch visits shards round-robin; every revisit must return
+    // the shard's own cursor object, not a recycled slot, because an outer
+    // frame may still hold a reference to it.  (No bracket state carries
+    // between visits: batches drop the rows at every pin.)
     for (int round = 0; round < 3; ++round) {
       for (int i = kEngines - 1; i >= 0; --i) {
         EXPECT_EQ(&engines[i]->cursor(), cursors[i]) << i;

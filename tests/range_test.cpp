@@ -52,6 +52,23 @@ TEST(Range, KeyZeroAndMaxAreVisible) {
   EXPECT_EQ(t.count_range(0, t.max_key()), 2u);
 }
 
+TEST(Range, BoundsAboveMaxKeyAreClipped) {
+  // hi above max_key() clips to it and lo above it is an empty range, at
+  // B = 16 and at B = 64, where hi = 2^64 - 1 would otherwise alias the
+  // tail sentinel's ikey.
+  for (const uint32_t bits : {16u, 64u}) {
+    Config c;
+    c.universe_bits = bits;
+    SkipTrie t(c);
+    const uint64_t top = t.max_key();
+    t.insert(3);
+    t.insert(top);
+    EXPECT_EQ(t.count_range(0, UINT64_MAX), 2u) << "B=" << bits;
+    EXPECT_EQ(t.count_range(top, UINT64_MAX), 1u) << "B=" << bits;
+    EXPECT_EQ(t.count_range(top + 1, UINT64_MAX), 0u) << "B=" << bits;
+  }
+}
+
 TEST(Range, VisitsExactlyTheRangeInOrder) {
   SkipTrie t(cfg16());
   for (uint64_t k = 0; k < 100; ++k) t.insert(k * 10);

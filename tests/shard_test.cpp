@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -288,6 +289,70 @@ TEST(ShardStats, ShardsEqualOneReproducesUnshardedStepCounts) {
   EXPECT_GT(cs.shard_batches, 0u);
   EXPECT_EQ(cf.shard_batches, 0u);
   EXPECT_EQ(one.size(), flat.size());
+}
+
+// --- Key range ---------------------------------------------------------------
+
+template <typename Traits>
+class ShardKeyRange : public ::testing::Test {};
+using ShardTraitTypes = ::testing::Types<U64Traits, Bytes16Traits>;
+TYPED_TEST_SUITE(ShardKeyRange, ShardTraitTypes);
+
+// With four shards, max_key() works in every keyed op, and every key above
+// it throws std::out_of_range before it is routed: below B = W such a key's
+// shard index is past the last shard, and at B = W the two sentinel-reserved
+// keys would land in the last shard as ordinary low keys.
+TYPED_TEST(ShardKeyRange, KeysAboveMaxKeyThrowFromEveryOp) {
+  using Engine = BasicShardedEngine<TypeParam>;
+  using K = typename TypeParam::key_type;
+  for (const uint32_t bits : {32u, TypeParam::kMaxBits}) {
+    Config c;
+    c.universe_bits = bits;
+    Engine e(4, c);
+    const K top = e.max_key();
+    const std::vector<K> edge = {K(7), top};
+
+    EXPECT_TRUE(e.insert(K(7))) << "B=" << bits;
+    EXPECT_TRUE(e.insert(top)) << "B=" << bits;
+    EXPECT_TRUE(e.contains(top)) << "B=" << bits;
+    EXPECT_TRUE(e.predecessor(top) == std::optional<K>(top)) << "B=" << bits;
+    EXPECT_TRUE(e.strict_predecessor(top) == std::optional<K>(K(7)))
+        << "B=" << bits;
+    EXPECT_TRUE(e.successor(K(7)) == std::optional<K>(top)) << "B=" << bits;
+    EXPECT_FALSE(e.successor(top).has_value()) << "B=" << bits;
+    EXPECT_TRUE(e.erase(top)) << "B=" << bits;
+    EXPECT_EQ(e.insert_batch(edge), 1u) << "B=" << bits;
+    EXPECT_EQ(e.contains_batch(edge), 2u) << "B=" << bits;
+    std::vector<std::optional<K>> preds(edge.size());
+    EXPECT_EQ(e.predecessor_batch(edge, preds.data()), 2u) << "B=" << bits;
+    EXPECT_TRUE(preds[1] == std::optional<K>(top)) << "B=" << bits;
+
+    std::vector<K> overs = {top + K(1)};
+    if (bits == TypeParam::kMaxBits) overs.push_back(top + K(2));
+    for (const K over : overs) {
+      const std::vector<K> mixed = {K(1), over, K(2)};
+      EXPECT_THROW(e.insert(over), std::out_of_range) << "B=" << bits;
+      EXPECT_THROW(e.erase(over), std::out_of_range) << "B=" << bits;
+      EXPECT_THROW(e.contains(over), std::out_of_range) << "B=" << bits;
+      EXPECT_THROW(e.predecessor(over), std::out_of_range) << "B=" << bits;
+      EXPECT_THROW(e.strict_predecessor(over), std::out_of_range)
+          << "B=" << bits;
+      EXPECT_THROW(e.successor(over), std::out_of_range) << "B=" << bits;
+      EXPECT_THROW(e.insert_batch(mixed), std::out_of_range) << "B=" << bits;
+      EXPECT_THROW(e.erase_batch(std::vector<K>{K(7), over}),
+                   std::out_of_range)
+          << "B=" << bits;
+      EXPECT_THROW(e.contains_batch(mixed), std::out_of_range)
+          << "B=" << bits;
+      EXPECT_THROW(e.predecessor_batch(mixed), std::out_of_range)
+          << "B=" << bits;
+    }
+
+    // The set is unchanged: exactly {7, max_key()}.
+    EXPECT_EQ(e.size(), 2u) << "B=" << bits;
+    EXPECT_TRUE(e.min_key() == std::optional<K>(K(7))) << "B=" << bits;
+    EXPECT_TRUE(e.max_key_present() == std::optional<K>(top)) << "B=" << bits;
+  }
 }
 
 }  // namespace

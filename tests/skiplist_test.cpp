@@ -263,5 +263,31 @@ TEST_F(EngineTest, NodeRecyclingReusesArenaStorage) {
   EXPECT_LE(arena_.live_blocks(), before + 8);
 }
 
+// The life count a guide reader compares around its read of a node's next
+// word (DESIGN.md §3.3): every poison() starts a new life, init() keeps it,
+// and the linked bit belongs to one life only.
+TEST(NodeLife, PoisonAdvancesLifeAndInitKeepsIt) {
+  Node n;
+  n.init(6, 0, 0, NodeKind::kInterior, nullptr, nullptr);
+  n.set_linked();
+  const uint32_t first = n.life();
+  n.poison();
+  const uint32_t second = n.life();
+  EXPECT_NE(second, first);
+  EXPECT_FALSE(n.linked());
+  n.init(6, 0, 0, NodeKind::kInterior, nullptr, nullptr);
+  EXPECT_EQ(n.life(), second);
+  EXPECT_FALSE(n.linked());
+  EXPECT_EQ(n.level(), 0u);
+  EXPECT_EQ(n.kind(), NodeKind::kInterior);
+  // The count wraps inside its own bits: kind, level and height survive.
+  for (int i = 0; i < 64; ++i) n.poison();
+  EXPECT_EQ(n.life(), second);
+  n.init(6, 2, 3, NodeKind::kInterior, nullptr, nullptr);
+  EXPECT_EQ(n.level(), 2u);
+  EXPECT_EQ(n.orig_height(), 3u);
+  EXPECT_EQ(n.kind(), NodeKind::kInterior);
+}
+
 }  // namespace
 }  // namespace skiptrie

@@ -53,9 +53,9 @@ TEST(Range, KeyZeroAndMaxAreVisible) {
 }
 
 TEST(Range, BoundsAboveMaxKeyAreClipped) {
-  // hi above max_key() clips to it and lo above it is an empty range, at
-  // B = 16 and at B = 64, where hi = 2^64 - 1 would otherwise alias the
-  // tail sentinel's ikey.
+  // hi above max_key() clips to it and lo above it is an empty range.
+  // Unclipped, hi = 2^64 - 1 wraps its ikey (hi + 1) to 0 and the range
+  // visits nothing.
   for (const uint32_t bits : {16u, 64u}) {
     Config c;
     c.universe_bits = bits;

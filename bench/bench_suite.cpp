@@ -29,14 +29,6 @@
 //                     space).  Matched cells differ only in `key_kind`, so
 //                     the step delta is the measured cost of W-widening —
 //                     the log log u story's other direction.
-//   service           the queued Service front-end (DESIGN.md §4.3) under
-//                     the client simulator (hot-tenant zipf, bursty
-//                     arrivals): --shards x client counts; steps merge the
-//                     submit-side queue attribution with the worker-side
-//                     engine counters.  The clients=1/shards=1 cell is
-//                     deterministic in step counts (one FIFO worker) and
-//                     sits inside the CI fatal gate; everything wider is
-//                     report-only.
 //
 // Passing `sharded` in --structures runs the ShardedEngine through the
 // plain workload driver in the grid (shards swept from --shards) — the
@@ -50,8 +42,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "service/service.h"
-#include "workload/client_sim.h"
 
 using namespace skiptrie;
 using namespace skiptrie::bench;
@@ -125,62 +115,6 @@ struct Bytes16Point {
   }
 };
 
-struct ServicePoint {
-  uint32_t shards = 0;
-  uint32_t clients = 0;
-  double mops = 0.0;
-  double depth_per_sub = 0.0;    // queue_depth_sum / service_subtasks
-  double wait_us_per_sub = 0.0;  // queue_wait_ns / service_subtasks / 1e3
-};
-
-// One service cell: same join keys as write_cell (section/structure/bits/
-// threads/mix/dist/batch_size/shards/repeat) so compare_bench joins it; the
-// payload merges submit-side (client) and execute-side (worker) counters.
-void write_service_cell(JsonWriter& j, uint32_t bits, uint32_t shards,
-                        const ClientSimConfig& cfg, const ClientSimResult& r,
-                        const StepCounters& worker_steps) {
-  StepCounters merged = r.client_steps;
-  merged += worker_steps;
-  const double ops = r.ops ? static_cast<double>(r.ops) : 1.0;
-  j.begin_object();
-  j.kv("section", "service");
-  j.kv("structure", "service");
-  j.kv("universe_bits", bits);
-  j.kv("threads", cfg.clients);  // submitting clients ~ driver threads
-  j.kv("mix", "balanced");
-  j.kv("dist", "zipf");
-  j.kv("batch_size", cfg.ops_per_request);
-  j.kv("shards", shards);
-  j.kv("key_kind", "u64");  // the service front-end runs the fast path
-  j.kv("key_space", cfg.key_space);
-  j.kv("prefill", cfg.prefill);
-  j.kv("seed", cfg.seed);
-  j.kv("repeat", 0u);
-  j.kv("total_ops", r.ops);
-  j.kv("requests", r.requests);
-  j.kv("burst", cfg.burst);
-  j.kv("tenants", cfg.tenants);
-  j.kv("seconds", r.seconds);
-  j.kv("mops", r.mops());
-  j.key("steps_per_op").begin_object();
-  j.kv("search", static_cast<double>(merged.search_steps()) / ops);
-  j.kv("total", static_cast<double>(merged.total_steps()) / ops);
-  j.end_object();
-  j.key("steps");
-  write_step_counters(j, merged);
-  j.key("per_op").begin_object();
-  for (size_t k = 0; k < kOpTypeCount; ++k) {
-    if (r.op_counts[k] == 0) continue;
-    j.key(op_type_name(static_cast<OpType>(k))).begin_object();
-    j.kv("ops", r.op_counts[k]);
-    j.kv("hits", r.op_hits[k]);
-    j.end_object();
-  }
-  j.end_object();
-  j.end_object();
-  j.newline();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -197,10 +131,7 @@ int main(int argc, char** argv) {
         "            [--batch-space N] [--batch-prefill N]  (batch section)\n"
         "            [--bytes16-bits B] [--bytes16-threads 1,2]\n"
         "            [--bytes16-mixes a,b]  (bytes16 section)\n"
-        "            [--shards 1,2,4] [--service-clients 1,2,4]\n"
-        "            [--service-requests N] [--service-ops N]\n"
-        "            [--service-burst N] [--service-prefill N]\n"
-        "            [--service-bits B]  (service section)\n");
+        "            [--shards 1,2,4]  (grid cells of `sharded`)\n");
     return 0;
   }
   const bool quick = args.has("--quick");
@@ -247,23 +178,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> bytes16_mix_names = split_csv(
       args.get("--bytes16-mixes",
                quick ? "balanced" : "read_only,balanced,write_heavy"));
-  // Service section axes.  Power-of-two shard counts only (routing is by
-  // key prefix); the clients axis is separate from --threads because the
-  // service adds a worker thread per shard on top of the submitters.
+  // Shard counts swept by `sharded` grid cells.  Power-of-two only
+  // (routing is by key prefix).
   std::vector<uint32_t> shards_axis =
       split_csv_u32(args.get("--shards", quick ? "1,2" : "1,2,4"));
-  std::vector<uint32_t> service_clients =
-      split_csv_u32(args.get("--service-clients", quick ? "1,2" : "1,2,4"));
-  const uint32_t service_bits =
-      static_cast<uint32_t>(args.get_u64("--service-bits", 20));
-  const uint32_t service_requests = static_cast<uint32_t>(
-      args.get_u64("--service-requests", quick ? 64 : 256));
-  const uint32_t service_ops = static_cast<uint32_t>(
-      args.get_u64("--service-ops", quick ? 16 : 32));
-  const uint32_t service_burst =
-      static_cast<uint32_t>(args.get_u64("--service-burst", 8));
-  const uint64_t service_prefill =
-      args.get_u64("--service-prefill", quick ? 256 : 4096);
 
   // Resolve named axes against the registries in bench_util.h; a token that
   // matches nothing is an error, not a silently shrunken sweep.
@@ -359,17 +277,10 @@ int main(int argc, char** argv) {
     }
   }
   for (const uint32_t s : shards_axis) {
-    // Power of two, and small enough to leave each shard >= 4 universe bits.
-    if (s == 0 || (s & (s - 1)) != 0 || s > (1u << 10) ||
-        service_bits < 4 || (s > 1 && service_bits < ceil_log2(s) + 4)) {
-      std::fprintf(stderr, "bench_suite: bad shard count %u for %u bits\n", s,
-                   service_bits);
-      return 1;
-    }
-  }
-  for (const uint32_t c : service_clients) {
-    if (c == 0 || c > 256) {
-      std::fprintf(stderr, "bench_suite: bad service client count %u\n", c);
+    // Power of two; the grid skips a count that would leave a shard fewer
+    // than 4 universe bits.
+    if (s == 0 || (s & (s - 1)) != 0 || s > (1u << 10)) {
+      std::fprintf(stderr, "bench_suite: bad shard count %u\n", s);
       return 1;
     }
   }
@@ -400,11 +311,6 @@ int main(int argc, char** argv) {
   j.key("bytes16_threads").begin_array();
   for (const uint32_t t : bytes16_threads) j.value(static_cast<uint64_t>(t));
   j.end_array();
-  j.kv("service_bits", service_bits);
-  j.kv("service_requests_per_client", static_cast<uint64_t>(service_requests));
-  j.kv("service_ops_per_request", static_cast<uint64_t>(service_ops));
-  j.kv("service_burst", static_cast<uint64_t>(service_burst));
-  j.kv("service_prefill", service_prefill);
   j.key("shards").begin_array();
   for (const uint32_t s : shards_axis) j.value(static_cast<uint64_t>(s));
   j.end_array();
@@ -619,50 +525,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Section 5: service front-end ----------------------------------------
-  // The client simulator against a live Service: per-shard queues + workers,
-  // hot-tenant zipf traffic, bursty arrivals.  Each cell builds a fresh
-  // Service (its workers die with it), runs the simulator, stops the
-  // service, then merges submit-side and worker-side counters.  The
-  // clients=1/shards=1 cell executes on one FIFO worker, so its step counts
-  // are deterministic and CI-gated; queue_wait/depth are timing-bound and
-  // stay outside the gated counter set everywhere.
-  std::vector<ServicePoint> service_pts;
-  for (const uint32_t shards : shards_axis) {
-    for (const uint32_t clients : service_clients) {
-      ServiceConfig scfg;
-      scfg.shards = shards;
-      scfg.trie.universe_bits = service_bits;
-      Service svc(scfg);
-
-      ClientSimConfig sim;
-      sim.clients = clients;
-      sim.requests_per_client = service_requests;
-      sim.ops_per_request = service_ops;
-      sim.burst = service_burst;
-      sim.key_space = bench_key_space(service_bits);
-      sim.prefill = std::min<uint64_t>(service_prefill, sim.key_space / 2);
-      sim.seed = cell_seed(service_bits, clients, 0, 0, 97, shards);
-      const ClientSimResult res = run_client_sim(svc, sim);
-      svc.stop();
-      const StepCounters workers = svc.worker_counters();
-      write_service_cell(j, service_bits, shards, sim, res, workers);
-
-      ServicePoint pt;
-      pt.shards = shards;
-      pt.clients = clients;
-      pt.mops = res.mops();
-      const StepCounters& cs = res.client_steps;
-      const double subs =
-          cs.service_subtasks ? static_cast<double>(cs.service_subtasks) : 1.0;
-      pt.depth_per_sub = static_cast<double>(cs.queue_depth_sum) / subs;
-      pt.wait_us_per_sub =
-          static_cast<double>(workers.queue_wait_ns) / subs / 1e3;
-      service_pts.push_back(pt);
-      progress("service");
-    }
-  }
-
   j.end_array();
 
   // Scaling digest: the acceptance-criterion numbers, directly readable.
@@ -705,18 +567,6 @@ int main(int argc, char** argv) {
   }
   j.end_array();
 
-  // Service digest: throughput and queueing pressure by (shards, clients).
-  j.key("service_summary").begin_array();
-  for (const ServicePoint& pt : service_pts) {
-    j.begin_object();
-    j.kv("shards", pt.shards);
-    j.kv("clients", pt.clients);
-    j.kv("mops", pt.mops);
-    j.kv("queue_depth_per_subtask", pt.depth_per_sub);
-    j.kv("queue_wait_us_per_subtask", pt.wait_us_per_sub);
-    j.end_object();
-  }
-  j.end_array();
   j.kv("cells_total", static_cast<uint64_t>(cells_run));
   j.end_object();
   j.newline();
@@ -753,17 +603,6 @@ int main(int argc, char** argv) {
                   pt.threads, pt.u64_steps, pt.bytes16_steps, pt.ratio());
     }
   }
-  if (!service_pts.empty()) {
-    header("bench_suite: service front-end (queued, worker-per-shard)");
-    std::printf("%-8s %-8s %-10s %-12s %-14s\n", "shards", "clients", "mops",
-                "depth/sub", "wait_us/sub");
-    row_sep(56);
-    for (const ServicePoint& pt : service_pts) {
-      std::printf("%-8u %-8u %-10.2f %-12.2f %-14.1f\n", pt.shards,
-                  pt.clients, pt.mops, pt.depth_per_sub, pt.wait_us_per_sub);
-    }
-  }
-
   std::printf("\n%zu cells -> %s\n", cells_run, out_path.c_str());
   std::printf(
       "Paper shape: SkipTrie steps track log log u across universe bits;\n"

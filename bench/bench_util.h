@@ -1,16 +1,13 @@
-// Shared infrastructure for the benchmark binaries.
+// Infrastructure for bench_suite.
 //
 // Three layers:
-//   1. Table helpers + single-threaded measurement (header/row_sep,
-//      fill_distinct, measure_ops) used by the paper-table benches.
-//   2. A shared cell runner: CellSpec names {structure, universe bits,
+//   1. Table helpers (header/row_sep) for the console digest.
+//   2. A cell runner: CellSpec names {structure, universe bits,
 //      WorkloadConfig}; run_cell() constructs the structure, drives
 //      run_workload, and collects quiescent structure stats.
-//   3. A shared JSON emitter producing the BENCH_*.json schema documented in
+//   3. A JSON emitter producing the BENCH_*.json schema documented in
 //      README "Benchmarks": suite header (schema version, git rev, host),
 //      then one record per measured cell.
-// Every bench binary that records data routes through 2+3 so all emitted
-// files share one schema and one set of workload semantics.
 #pragma once
 
 #include <chrono>
@@ -19,7 +16,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,71 +46,11 @@ inline void row_sep(int width = 100) {
   std::putchar('\n');
 }
 
-// Largest key usable in a B-bit universe (B=64 reserves two sentinels).
-inline uint64_t bench_max_key(uint32_t bits) {
-  const uint64_t mask = universe_mask(bits);
-  return bits >= 64 ? mask - 2 : mask;
-}
-
-// Key-generator space covering the whole B-bit universe.
+// Key-generator space covering the whole B-bit universe: every key up to
+// the largest usable one (B=64 reserves two sentinels).
 inline uint64_t bench_key_space(uint32_t bits) {
-  return bench_max_key(bits) + 1;
-}
-
-// Insert `m` distinct uniform keys drawn from a B-bit universe; returns
-// them.  m must be at most the universe size.
-template <typename Set>
-std::vector<uint64_t> fill_distinct(Set& set, size_t m, uint32_t bits,
-                                    uint64_t seed) {
-  Xoshiro256 rng(seed);
-  std::set<uint64_t> keys;
-  const uint64_t maxk = bench_max_key(bits);
-  while (keys.size() < m) {
-    const uint64_t k = rng.next() & universe_mask(bits);
-    if (k > maxk) continue;
-    if (keys.insert(k).second) set.insert(k);
-  }
-  return std::vector<uint64_t>(keys.begin(), keys.end());
-}
-
-struct Measured {
-  double ns_per_op = 0.0;
-  StepCounters steps;
-  uint64_t ops = 0;
-
-  double per_op(uint64_t v) const {
-    return ops ? static_cast<double>(v) / static_cast<double>(ops) : 0.0;
-  }
-  double search_steps_per_op() const { return per_op(steps.search_steps()); }
-};
-
-// Measure fn(key) over `queries` keys, collecting wall time and counters.
-template <typename F>
-Measured measure_ops(const std::vector<uint64_t>& queries, F fn) {
-  Measured m;
-  tls_counters() = StepCounters{};
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const uint64_t q : queries) fn(q);
-  const auto t1 = std::chrono::steady_clock::now();
-  m.steps = tls_counters();
-  m.ops = queries.size();
-  m.ns_per_op = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                static_cast<double>(queries.size() ? queries.size() : 1);
-  tls_counters() = StepCounters{};
-  return m;
-}
-
-inline std::vector<uint64_t> random_queries(size_t n, uint32_t bits,
-                                            uint64_t seed) {
-  Xoshiro256 rng(seed);
-  std::vector<uint64_t> q(n);
-  const uint64_t maxk = bench_max_key(bits);
-  for (auto& v : q) {
-    do {
-      v = rng.next() & universe_mask(bits);
-    } while (v > maxk);
-  }
-  return q;
+  const uint64_t mask = universe_mask(bits);
+  return (bits >= 64 ? mask - 2 : mask) + 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -191,7 +127,7 @@ struct CellSpec {
   std::string structure;          // "skiptrie" | "skiplist" | "locked_map"
   std::string mix_name = "balanced";
   uint32_t universe_bits = 32;
-  uint32_t shards = 1;            // "sharded"/"service" cells only (v5 axis)
+  uint32_t shards = 1;            // "sharded" cells only (v5 axis)
   // Key-traits instantiation driving the cell (v6 axis, DESIGN.md §6):
   // "u64" is the fast path; "bytes16" runs the same u64 key stream through
   // BasicSkipTrie<Bytes16Traits> via an order-preserving spread into the
@@ -372,9 +308,14 @@ inline std::string git_rev(const Args& args) {
 //   v10 search finger deleted (DESIGN.md §5.2): steps lose the three v3
 //       finger counters.  No axis changed, so cells join v9 files
 //       unchanged.
+//   v11 Service front-end deleted (DESIGN.md §4): the "service" section,
+//       `service_summary`, the config.service_* keys and the five v5 queue
+//       counters are gone (steps.shard_batches stays).  No axis changed,
+//       so cells join v10 files unchanged; v10 service cells match
+//       nothing.
 inline void write_suite_header(JsonWriter& j, const char* suite,
                                const std::string& rev, bool quick) {
-  j.kv("schema_version", 10);
+  j.kv("schema_version", 11);
   j.kv("suite", suite);
   j.kv("git_rev", rev);
   j.kv("timestamp_utc", iso8601_utc_now());
@@ -428,11 +369,6 @@ inline void write_step_counters(JsonWriter& j, const StepCounters& s) {
   j.kv("batch_ops", s.batch_ops);
   j.kv("batch_keys", s.batch_keys);
   j.kv("shard_batches", s.shard_batches);
-  j.kv("service_requests", s.service_requests);
-  j.kv("service_subtasks", s.service_subtasks);
-  j.kv("queue_full_waits", s.queue_full_waits);
-  j.kv("queue_depth_sum", s.queue_depth_sum);
-  j.kv("queue_wait_ns", s.queue_wait_ns);
   j.end_object();
 }
 
@@ -524,26 +460,6 @@ inline void write_cell(JsonWriter& j, const CellSpec& spec,
   if (spec.structure == "skiplist") {
     j.kv("skiplist_levels", res.skiplist_levels);
   }
-  j.end_object();
-  j.newline();
-}
-
-// Single-threaded micro measurement record (measure_ops-based benches).
-inline void write_micro_cell(JsonWriter& j, const char* section,
-                             const char* name, const char* structure,
-                             uint64_t size, uint32_t bits, const Measured& m) {
-  j.begin_object();
-  j.kv("section", section);
-  j.kv("name", name);
-  j.kv("structure", structure);
-  j.kv("universe_bits", bits);
-  j.kv("key_kind", "u64");  // micro benches all run the fast path
-  j.kv("size", size);
-  j.kv("ops", m.ops);
-  j.kv("ns_per_op", m.ns_per_op);
-  j.kv("search_steps_per_op", m.search_steps_per_op());
-  j.key("steps");
-  write_step_counters(j, m.steps);
   j.end_object();
   j.newline();
 }

@@ -1,5 +1,7 @@
 #include "baseline/lockfree_skiplist.h"
 
+#include <stdexcept>
+
 #include "common/random.h"
 #include "core/batch.h"
 #include "skiplist/cursor.h"
@@ -14,7 +16,14 @@ LockFreeSkipList::LockFreeSkipList(uint32_t levels, DcssMode mode,
       ctx_{&ebr_, mode},
       engine_(ctx_, arena_, levels) {}
 
+void LockFreeSkipList::check_key(uint64_t key) {
+  if (key > max_key()) {
+    throw std::out_of_range("LockFreeSkipList key above max_key()");
+  }
+}
+
 bool LockFreeSkipList::insert(uint64_t key) {
+  check_key(key);
   EbrDomain::Guard g(ebr_);
   const uint64_t x = ikey_of(key);
   const uint32_t h = deterministic_height(seed_, x, engine_.top_level());
@@ -29,6 +38,7 @@ bool LockFreeSkipList::insert(uint64_t key) {
 }
 
 bool LockFreeSkipList::erase(uint64_t key) {
+  check_key(key);
   EbrDomain::Guard g(ebr_);
   const uint64_t x = ikey_of(key);
   auto r = engine_.erase(x, top_head());
@@ -39,6 +49,7 @@ bool LockFreeSkipList::erase(uint64_t key) {
 }
 
 bool LockFreeSkipList::contains(uint64_t key) const {
+  check_key(key);
   EbrDomain::Guard g(ebr_);
   const uint64_t x = ikey_of(key);
   const auto b = engine_.descend(x, top_head());
@@ -46,6 +57,7 @@ bool LockFreeSkipList::contains(uint64_t key) const {
 }
 
 std::optional<uint64_t> LockFreeSkipList::predecessor(uint64_t key) const {
+  check_key(key);
   EbrDomain::Guard g(ebr_);
   const uint64_t x = ikey_of(key) + 1;
   const auto b = engine_.descend(x, top_head());
@@ -54,6 +66,7 @@ std::optional<uint64_t> LockFreeSkipList::predecessor(uint64_t key) const {
 }
 
 std::optional<uint64_t> LockFreeSkipList::successor(uint64_t key) const {
+  check_key(key);
   EbrDomain::Guard g(ebr_);
   const uint64_t x = ikey_of(key) + 1;
   const auto b = engine_.descend(x, top_head());
@@ -68,6 +81,7 @@ size_t LockFreeSkipList::size() const {
 
 size_t LockFreeSkipList::insert_batch(const uint64_t* keys, size_t n,
                                       uint8_t* results) {
+  check_keys(keys, n);
   if (n == 0) return 0;
   DescentCursor& cur = engine_.cursor();
   return batch_detail::for_each_sorted_pinned(
@@ -84,6 +98,7 @@ size_t LockFreeSkipList::insert_batch(const uint64_t* keys, size_t n,
 
 size_t LockFreeSkipList::erase_batch(const uint64_t* keys, size_t n,
                                      uint8_t* results) {
+  check_keys(keys, n);
   if (n == 0) return 0;
   DescentCursor& cur = engine_.cursor();
   return batch_detail::for_each_sorted_pinned(
@@ -100,6 +115,7 @@ size_t LockFreeSkipList::erase_batch(const uint64_t* keys, size_t n,
 
 size_t LockFreeSkipList::contains_batch(const uint64_t* keys, size_t n,
                                         uint8_t* results) const {
+  check_keys(keys, n);
   if (n == 0) return 0;
   DescentCursor& cur = engine_.cursor();
   return batch_detail::for_each_sorted_pinned(
@@ -114,6 +130,7 @@ size_t LockFreeSkipList::contains_batch(const uint64_t* keys, size_t n,
 
 size_t LockFreeSkipList::predecessor_batch(
     const uint64_t* keys, size_t n, std::optional<uint64_t>* results) const {
+  check_keys(keys, n);
   if (n == 0) return 0;
   DescentCursor& cur = engine_.cursor();
   return batch_detail::for_each_sorted_pinned(

@@ -29,6 +29,12 @@ class LockFreeSkipList {
                             DcssMode mode = DcssMode::kDcss,
                             uint64_t seed = 0x5eed5eed5eed5eedull);
 
+  // Largest accepted key, SkipTrie's bound at B = 64: ikey = key + 1 leaves
+  // ikey 0 to the head and 2^64 - 1 to the tail.  Every keyed operation
+  // throws std::out_of_range for a key above it, in every build (a batch
+  // before applying any key).
+  static constexpr uint64_t max_key() { return UINT64_MAX - 2; }
+
   bool insert(uint64_t key);
   bool erase(uint64_t key);
   bool contains(uint64_t key) const;
@@ -72,6 +78,10 @@ class LockFreeSkipList {
 
  private:
   uint64_t ikey_of(uint64_t key) const { return key + 1; }
+  static void check_key(uint64_t key);
+  static void check_keys(const uint64_t* keys, size_t n) {
+    for (size_t i = 0; i < n; ++i) check_key(keys[i]);
+  }
 
   // Every search starts at the top-level head (no trie).
   SkipListEngine::Node_t* top_head() const {

@@ -28,11 +28,6 @@ StepCounters& StepCounters::operator+=(const StepCounters& o) {
   batch_ops += o.batch_ops;
   batch_keys += o.batch_keys;
   shard_batches += o.shard_batches;
-  service_requests += o.service_requests;
-  service_subtasks += o.service_subtasks;
-  queue_full_waits += o.queue_full_waits;
-  queue_depth_sum += o.queue_depth_sum;
-  queue_wait_ns += o.queue_wait_ns;
   return *this;
 }
 
@@ -63,11 +58,6 @@ StepCounters StepCounters::operator-(const StepCounters& o) const {
   r.batch_ops -= o.batch_ops;
   r.batch_keys -= o.batch_keys;
   r.shard_batches -= o.shard_batches;
-  r.service_requests -= o.service_requests;
-  r.service_subtasks -= o.service_subtasks;
-  r.queue_full_waits -= o.queue_full_waits;
-  r.queue_depth_sum -= o.queue_depth_sum;
-  r.queue_wait_ns -= o.queue_wait_ns;
   return r;
 }
 

@@ -65,24 +65,14 @@ struct StepCounters {
                                   // that entered at the top row or fallback
   uint64_t batch_ops = 0;         // batch API calls issued (any size)
   uint64_t batch_keys = 0;        // keys processed through the batch API
-  // Sharded-engine / service attribution (schema v5, DESIGN.md §5.4).
-  // Event counters again: they tally routing and queueing activity, never
-  // shared-memory search steps, and do NOT enter search_steps()/
-  // total_steps() — a ShardedEngine at shards=1 must report exactly the
-  // unsharded engine's step counts.
+  // Sharded-engine attribution (schema v5, DESIGN.md §5.4).  An event
+  // counter again: it tallies routing activity, never shared-memory search
+  // steps, and does NOT enter search_steps()/total_steps() — a
+  // ShardedEngine at shards=1 must report exactly the unsharded engine's
+  // step counts.
   uint64_t shard_batches = 0;     // per-shard sub-batches executed by the
                                   // split/merge protocol (DESIGN.md §4.3);
                                   // equals batch calls issued at shards=1
-  uint64_t service_requests = 0;  // requests submitted to a Service queue
-  uint64_t service_subtasks = 0;  // per-shard subtasks those requests split
-                                  // into (>= service_requests)
-  uint64_t queue_full_waits = 0;  // submissions that blocked on a full
-                                  // bounded queue before enqueueing
-  uint64_t queue_depth_sum = 0;   // sum over enqueues of the queue depth
-                                  // observed at enqueue (depth_sum /
-                                  // service_subtasks = mean depth)
-  uint64_t queue_wait_ns = 0;     // ns between a subtask's enqueue and a
-                                  // worker dequeuing it
   // Always 0: tower heights are the fixed deterministic draw.  Kept only
   // for perfbench's per-layer report, which still reads them (and, like
   // chunk_scans, left out of operator+= and operator-).

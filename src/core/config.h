@@ -25,12 +25,6 @@ struct Config {
   // Seed for the per-thread tower-height RNG (deterministic workloads can
   // fix this; threads still derive distinct streams).
   uint64_t seed = 0x5eed5eed5eed5eedull;
-
-  // Maximum bucket count of the prefix hash table.
-  size_t max_hash_buckets = 1u << 20;
-
-  // Slab granularity of the node arena.
-  size_t arena_blocks_per_slab = 4096;
 };
 
 }  // namespace skiptrie

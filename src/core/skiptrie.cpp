@@ -46,11 +46,11 @@ const Config& checked_config(const Config& cfg) {
 template <typename Traits>
 BasicSkipTrie<Traits>::BasicSkipTrie(const Config& cfg)
     : cfg_(checked_config<Traits>(cfg)),
-      arena_(sizeof(Node_t), kCacheLine, cfg.arena_blocks_per_slab),
+      arena_(sizeof(Node_t), kCacheLine, 4096),
       ebr_(),
       ctx_{&ebr_, cfg.dcss_mode},
       engine_(ctx_, arena_, ceil_log2(cfg.universe_bits)),
-      trie_(ctx_, engine_, cfg.universe_bits, cfg.max_hash_buckets) {}
+      trie_(ctx_, engine_, cfg.universe_bits) {}
 
 template <typename Traits>
 auto BasicSkipTrie<Traits>::locate(key_type key, Ikey x) const ->

@@ -7,9 +7,7 @@
 // depth bound of its own (smaller) universe.  Each shard owns the full
 // per-structure stack — SlabArena, EbrDomain, engine (and with it a unique
 // cursor owner id, hence per-shard thread-local cursor state) — so shards
-// share *no* mutable memory: operations on different shards never contend,
-// which is what gives the service layer (src/service/) real parallelism to
-// schedule onto.
+// share *no* mutable memory: operations on different shards never contend.
 //
 // Routing (DESIGN.md §4.1): shard_of(k) = k >> (B - log2 N) and
 // low_of(k) = k & (2^(B - log2 N) - 1); both are bijective on
@@ -147,7 +145,7 @@ class BasicShardedEngine {
                             : ((key_type(shard) << low_bits_) | low);
   }
 
-  // Shard access for tests, benchmarks, and the service layer.
+  // Shard access for tests and benchmarks.
   Trie& shard(size_t i) { return *shards_[i]; }
   const Trie& shard(size_t i) const { return *shards_[i]; }
   const Config& config() const { return cfg_; }

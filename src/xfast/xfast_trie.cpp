@@ -34,9 +34,9 @@ uint32_t& tl_anc_len_hint4() {
 
 template <typename Traits>
 BasicXFastTrie<Traits>::BasicXFastTrie(DcssContext ctx, Engine& engine,
-                                       uint32_t bits, size_t max_hash_buckets)
+                                       uint32_t bits)
     : ctx_(ctx), strict_ctx_{ctx.ebr, DcssMode::kDcss}, engine_(engine),
-      bits_(bits), map_(strict_ctx_, max_hash_buckets) {
+      bits_(bits), map_(strict_ctx_) {
   assert(bits_ >= 4 && bits_ <= Traits::kMaxBits);
   root_ = new TreeNode();
   const bool ok = map_.insert(Traits::encode_prefix(Ikey(0), 0, bits_),

@@ -36,8 +36,7 @@ class BasicXFastTrie {
   using Map = BasicSplitOrderedMap<Traits>;
 
   // bits: B = log2(universe size), 4..Traits::kMaxBits.
-  BasicXFastTrie(DcssContext ctx, Engine& engine, uint32_t bits,
-                 size_t max_hash_buckets = 1u << 20);
+  BasicXFastTrie(DcssContext ctx, Engine& engine, uint32_t bits);
   ~BasicXFastTrie();
 
   BasicXFastTrie(const BasicXFastTrie&) = delete;

@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -72,6 +73,49 @@ TEST(LockFreeSkipList, SuccessorWorks) {
   EXPECT_EQ(s.successor(0).value(), 10u);
   EXPECT_EQ(s.successor(10).value(), 20u);
   EXPECT_EQ(s.successor(20), std::nullopt);
+}
+
+// max_key() = 2^64 - 3 is an ordinary key, and every keyed op throws above
+// it (a batch before applying any key).  Without the bound, ikey = key + 1
+// wrapped: insert(2^64 - 1) landed on the head's ikey and raised size(),
+// 2^64 - 2 aliased the tail (insert false, contains true), and predecessor
+// of either returned nothing.
+TEST(LockFreeSkipList, KeysAboveMaxKeyThrowFromEveryOp) {
+  constexpr uint64_t kTop = UINT64_MAX - 2;
+  EXPECT_EQ(LockFreeSkipList::max_key(), kTop);
+  LockFreeSkipList s(12);
+  EXPECT_TRUE(s.insert(5));
+  EXPECT_TRUE(s.insert(kTop));
+  EXPECT_TRUE(s.contains(kTop));
+  EXPECT_EQ(s.predecessor(kTop), kTop);
+  EXPECT_EQ(s.successor(5), kTop);
+  EXPECT_EQ(s.successor(kTop), std::nullopt);
+  EXPECT_EQ(s.insert_batch(std::vector<uint64_t>{5, kTop}), 0u);
+  std::vector<std::optional<uint64_t>> preds(2);
+  EXPECT_EQ(s.predecessor_batch(std::vector<uint64_t>{4, kTop}, preds.data()),
+            1u);
+  EXPECT_EQ(preds[1], kTop);
+
+  for (const uint64_t over : {kTop + 1, kTop + 2}) {
+    const std::vector<uint64_t> mixed = {1, over, 2};
+    EXPECT_THROW(s.insert(over), std::out_of_range) << over;
+    EXPECT_THROW(s.erase(over), std::out_of_range) << over;
+    EXPECT_THROW(s.contains(over), std::out_of_range) << over;
+    EXPECT_THROW(s.predecessor(over), std::out_of_range) << over;
+    EXPECT_THROW(s.successor(over), std::out_of_range) << over;
+    EXPECT_THROW(s.insert_batch(mixed), std::out_of_range) << over;
+    EXPECT_THROW(s.erase_batch(std::vector<uint64_t>{5, over}),
+                 std::out_of_range)
+        << over;
+    EXPECT_THROW(s.contains_batch(mixed), std::out_of_range) << over;
+    EXPECT_THROW(s.predecessor_batch(mixed), std::out_of_range) << over;
+  }
+
+  // The set is unchanged: exactly {5, max_key()}.
+  EXPECT_EQ(s.size(), 2u);
+  EXPECT_FALSE(s.contains(1));
+  EXPECT_TRUE(s.contains(5));
+  EXPECT_EQ(s.predecessor(kTop - 1), 5u);
 }
 
 TEST(LockedMap, BasicSemantics) {

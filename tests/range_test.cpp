@@ -192,7 +192,9 @@ TEST(Range, ChurnedTraversalStaysSortedAndInRange) {
     for (size_t i = 0; i < seen.size(); ++i) {
       ASSERT_GE(seen[i], kLo) << "round " << round;
       ASSERT_LE(seen[i], kHi) << "round " << round;
-      if (i > 0) ASSERT_GT(seen[i], prev) << "round " << round;
+      if (i > 0) {
+        ASSERT_GT(seen[i], prev) << "round " << round;
+      }
       prev = seen[i];
       if (seen[i] % 100 == 0) ++anchors;
     }

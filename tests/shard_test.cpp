@@ -1,16 +1,21 @@
 // ShardedEngine property tests (DESIGN.md §4.1, §4.3).
 //
-// Pins the three contracts the sharded engine makes: (1) routing is a
-// bijection between keys and (shard, low) pairs, with the shard index equal
-// to the key's top bits; (2) every batch operation — duplicates, empty,
-// unsorted inputs included — returns byte-identical results (values and
-// input order) to the unsharded engine run over the same (key, op)
-// sequence; (3) per-shard structure stats sum to the unsharded totals, and
-// shards=1 reproduces the unsharded engine's step counts exactly.
+// Pins the contracts the sharded engine makes: (1) routing is a bijection
+// between keys and (shard, low) pairs, with the shard index equal to the
+// key's top bits; (2) every batch operation — duplicates, empty, unsorted
+// inputs included — returns byte-identical results (values and input
+// order) to the unsharded engine run over the same (key, op) sequence;
+// (3) per-shard structure stats sum to the unsharded totals, and shards=1
+// reproduces the unsharded engine's step counts exactly; (4) under client
+// threads calling it concurrently, answers match per-stripe reference
+// models and per-key insert/erase successes alternate.  The stress cases
+// must pass under -DSKIPTRIE_SANITIZE=address and thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -289,6 +294,171 @@ TEST(ShardStats, ShardsEqualOneReproducesUnshardedStepCounts) {
   EXPECT_GT(cs.shard_batches, 0u);
   EXPECT_EQ(cf.shard_batches, 0u);
   EXPECT_EQ(one.size(), flat.size());
+}
+
+// --- Concurrent stress --------------------------------------------------------
+//
+// Client threads call one 4-shard engine directly.  Requests alternate
+// between batch calls and single-key ops; histories are bounded and
+// seed-stable.
+
+// Each client owns one contiguous key stripe, which at 4 shards is exactly
+// one shard, so every insert/erase/contains answer is exact against the
+// client's stripe model.  A predecessor answer is exact whenever the model
+// holds an in-stripe predecessor p of the query q: any key strictly between
+// p and q lies in the stripe, which only this client writes.  Otherwise the
+// answer, if any, is a cross-shard fallback and must land below the stripe.
+TEST(ShardStress, StripedClientsExactPerOpLinearization) {
+  constexpr uint32_t kClients = 4;
+  constexpr uint32_t kRequests = 120;
+  constexpr uint32_t kOpsPerRequest = 24;
+  constexpr uint64_t kStripe = (1ull << kBits) / kClients;
+
+  ShardedEngine e(4, small_cfg());
+  std::atomic<uint64_t> violations{0};
+  std::vector<std::thread> clients;
+  for (uint32_t t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      const uint64_t lo = t * kStripe;
+      Xoshiro256 rng(0x1234 + t);
+      std::set<uint64_t> model;  // this stripe's reference content
+      const auto check_pred = [&](uint64_t q, std::optional<uint64_t> got) {
+        auto it = model.upper_bound(q);
+        if (it != model.begin()) return got == *std::prev(it);
+        return !got.has_value() || *got < lo;
+      };
+      std::vector<uint64_t> keys(kOpsPerRequest);
+      std::vector<uint8_t> hits(kOpsPerRequest);
+      std::vector<std::optional<uint64_t>> preds(kOpsPerRequest);
+      for (uint32_t r = 0; r < kRequests; ++r) {
+        for (uint64_t& k : keys) {
+          // Dense sub-range so duplicates and hits are common.
+          k = lo + rng.next_below(1024) * (kStripe / 1024);
+        }
+        const uint64_t op = rng.next_below(4);
+        bool ok = true;
+        if (r % 2 == 0) {
+          // One batch call of a single op type; duplicates resolve in
+          // input order, so the model replays the batch in input order.
+          switch (op) {
+            case 0:
+              e.insert_batch(keys, hits.data());
+              for (size_t i = 0; i < keys.size(); ++i) {
+                ok &= hits[i] == model.insert(keys[i]).second;
+              }
+              break;
+            case 1:
+              e.erase_batch(keys, hits.data());
+              for (size_t i = 0; i < keys.size(); ++i) {
+                ok &= hits[i] == (model.erase(keys[i]) > 0);
+              }
+              break;
+            case 2:
+              e.contains_batch(keys, hits.data());
+              for (size_t i = 0; i < keys.size(); ++i) {
+                ok &= hits[i] == (model.count(keys[i]) > 0);
+              }
+              break;
+            default:
+              e.predecessor_batch(keys, preds.data());
+              for (size_t i = 0; i < keys.size(); ++i) {
+                ok &= check_pred(keys[i], preds[i]);
+              }
+              break;
+          }
+        } else {
+          // Single-key ops of mixed types, checked as each returns.
+          for (const uint64_t k : keys) {
+            switch (rng.next_below(4)) {
+              case 0:
+                ok &= e.insert(k) == model.insert(k).second;
+                break;
+              case 1:
+                ok &= e.erase(k) == (model.erase(k) > 0);
+                break;
+              case 2:
+                ok &= e.contains(k) == (model.count(k) > 0);
+                break;
+              default:
+                ok &= check_pred(k, e.predecessor(k));
+                break;
+            }
+          }
+        }
+        if (!ok) violations.fetch_add(1, std::memory_order_relaxed);
+      }
+      // Quiescent stripe reconciliation: the engine holds exactly the
+      // model's keys inside this stripe.
+      for (uint64_t probe = 0; probe < 1024; ++probe) {
+        const uint64_t key = lo + probe * (kStripe / 1024);
+        if (e.contains(key) != (model.count(key) > 0)) {
+          violations.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  EXPECT_EQ(violations.load(), 0u);
+}
+
+// All clients fight over 32 keys spread over every shard, writes only, so
+// several threads write each shard at once.  An insert succeeds only on an
+// absent key and an erase only on a present one, so per key the successes
+// strictly alternate: at quiescence a key is present iff successful
+// inserts == successful erases + 1.
+TEST(ShardStress, SharedKeysSuccessCountsLinearize) {
+  constexpr uint32_t kClients = 4;
+  constexpr uint32_t kRequests = 100;
+  constexpr uint32_t kOpsPerRequest = 16;
+  constexpr uint64_t kSharedKeys = 32;
+  constexpr uint64_t kKeyStride = (1ull << kBits) / kSharedKeys;
+
+  ShardedEngine e(4, small_cfg());
+  std::atomic<uint64_t> succ_ins[kSharedKeys] = {};
+  std::atomic<uint64_t> succ_era[kSharedKeys] = {};
+  std::vector<std::thread> clients;
+  for (uint32_t t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      Xoshiro256 rng(0xfeed + t);
+      std::vector<uint64_t> ins, era;
+      std::vector<uint8_t> hits;
+      const auto tally = [](uint64_t key, bool hit,
+                            std::atomic<uint64_t>* succ) {
+        if (hit) succ[key / kKeyStride].fetch_add(1, std::memory_order_relaxed);
+      };
+      for (uint32_t r = 0; r < kRequests; ++r) {
+        ins.clear();
+        era.clear();
+        for (uint32_t i = 0; i < kOpsPerRequest; ++i) {
+          const uint64_t key = rng.next_below(kSharedKeys) * kKeyStride;
+          (rng.next_below(2) == 0 ? ins : era).push_back(key);
+        }
+        if (r % 2 == 0) {
+          hits.resize(ins.size());
+          e.insert_batch(ins, hits.data());
+          for (size_t i = 0; i < ins.size(); ++i) {
+            tally(ins[i], hits[i], succ_ins);
+          }
+          hits.resize(era.size());
+          e.erase_batch(era, hits.data());
+          for (size_t i = 0; i < era.size(); ++i) {
+            tally(era[i], hits[i], succ_era);
+          }
+        } else {
+          for (const uint64_t k : ins) tally(k, e.insert(k), succ_ins);
+          for (const uint64_t k : era) tally(k, e.erase(k), succ_era);
+        }
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+
+  for (uint64_t s = 0; s < kSharedKeys; ++s) {
+    const uint64_t ins = succ_ins[s].load();
+    const uint64_t era = succ_era[s].load();
+    ASSERT_TRUE(ins == era || ins == era + 1) << "key slot " << s;
+    EXPECT_EQ(e.contains(s * kKeyStride), ins == era + 1) << "key slot " << s;
+  }
 }
 
 // --- Key range ---------------------------------------------------------------

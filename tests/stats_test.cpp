@@ -30,12 +30,7 @@ TEST(Stats, AccumulateAndSubtract) {
   b.batch_ops = 1;
   b.batch_keys = 8;
   a.shard_batches = 3;
-  a.service_requests = 5;
-  a.queue_depth_sum = 11;
   b.shard_batches = 2;
-  b.service_subtasks = 7;
-  b.queue_full_waits = 1;
-  b.queue_wait_ns = 1500;
 
   StepCounters sum = a;
   sum += b;
@@ -53,11 +48,6 @@ TEST(Stats, AccumulateAndSubtract) {
   EXPECT_EQ(sum.batch_ops, 1u);
   EXPECT_EQ(sum.batch_keys, 40u);
   EXPECT_EQ(sum.shard_batches, 5u);
-  EXPECT_EQ(sum.service_requests, 5u);
-  EXPECT_EQ(sum.service_subtasks, 7u);
-  EXPECT_EQ(sum.queue_full_waits, 1u);
-  EXPECT_EQ(sum.queue_depth_sum, 11u);
-  EXPECT_EQ(sum.queue_wait_ns, 1500u);
 
   const StepCounters diff = sum - b;
   EXPECT_EQ(diff.node_hops, a.node_hops);
@@ -73,28 +63,18 @@ TEST(Stats, AccumulateAndSubtract) {
   EXPECT_EQ(diff.batch_ops, 0u);
   EXPECT_EQ(diff.batch_keys, a.batch_keys);
   EXPECT_EQ(diff.shard_batches, a.shard_batches);
-  EXPECT_EQ(diff.service_requests, a.service_requests);
-  EXPECT_EQ(diff.service_subtasks, 0u);
-  EXPECT_EQ(diff.queue_full_waits, 0u);
-  EXPECT_EQ(diff.queue_depth_sum, a.queue_depth_sum);
-  EXPECT_EQ(diff.queue_wait_ns, 0u);
 }
 
-// Schema-v5 counters are queue/routing events, not shared-memory steps:
-// they must never leak into the paper-bound sums (a ShardedEngine at
+// The schema-v5 shard counter is a routing event, not a shared-memory
+// step: it must never leak into the paper-bound sums (a ShardedEngine at
 // shards=1 has to report exactly the unsharded step counts).
-TEST(Stats, ShardAndServiceCountersAreNotSteps) {
+TEST(Stats, ShardCounterIsNotAStep) {
   StepCounters c;
   c.node_hops = 5;
   c.hash_probes = 2;
   const uint64_t search = c.search_steps();
   const uint64_t total = c.total_steps();
   c.shard_batches = 100;
-  c.service_requests = 100;
-  c.service_subtasks = 100;
-  c.queue_full_waits = 100;
-  c.queue_depth_sum = 100;
-  c.queue_wait_ns = 100;
   EXPECT_EQ(c.search_steps(), search);
   EXPECT_EQ(c.total_steps(), total);
 }

@@ -21,12 +21,13 @@ Designed to run as a non-fatal CI report step:
 
     tools/compare_bench.py BENCH_suite.json build/BENCH_suite_quick.json
 
-Schema: accepts v1 through v10 files; counters missing from an older file
+Schema: accepts v1 through v11 files; counters missing from an older file
 are skipped (reported as "new"), never treated as zero.  The v7/v8
 ablation axes were dropped in v9 together with the layers they toggled;
 v7/v8 cells join v9 cells on the remaining axes, and cells of the deleted
-ablation sections match nothing.  v10 only dropped the finger counters, so
-v9 and v10 cells join on the same key.
+ablation sections match nothing.  v10 only dropped the finger counters and
+v11 the queue counters and the "service" section, so v9, v10 and v11 cells
+join on the same key (v10 service cells match nothing).
 
 `--self-test` runs the built-in join unit test (no input files needed);
 it is registered in ctest so the cross-version join cannot bit-rot.
@@ -207,8 +208,8 @@ def main():
                          "deterministic up to cell order)")
     ap.add_argument("--max-shards", type=int, default=None,
                     help="only compare cells with shards <= N (multi-shard "
-                         "service cells interleave across workers; the "
-                         "shards=1 cells are the deterministic ones)")
+                         "`sharded` cells are report-only; shards=1 cells "
+                         "reproduce the unsharded step counts exactly)")
     ap.add_argument("--key-kind", default=None,
                     help="only compare cells with this key_kind (e.g. "
                          "'u64': the gated fast path whose step counts are "

@@ -47,10 +47,13 @@ template <typename Traits>
 BasicSkipTrie<Traits>::BasicSkipTrie(const Config& cfg)
     : cfg_(checked_config<Traits>(cfg)),
       arena_(sizeof(Node_t), kCacheLine, 4096),
+      tree_pool_(sizeof(TreeNode), alignof(TreeNode)),
+      hash_pool_(sizeof(typename Trie::Map::HNode),
+                 alignof(typename Trie::Map::HNode)),
       ebr_(),
       ctx_{&ebr_, cfg.dcss_mode},
       engine_(ctx_, arena_, ceil_log2(cfg.universe_bits)),
-      trie_(ctx_, engine_, cfg.universe_bits) {}
+      trie_(ctx_, engine_, cfg.universe_bits, tree_pool_, hash_pool_) {}
 
 template <typename Traits>
 auto BasicSkipTrie<Traits>::locate(key_type key, Ikey x) const ->

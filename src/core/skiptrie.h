@@ -236,10 +236,14 @@ class BasicSkipTrie {
   bool finish_erase(key_type key, const typename Engine::EraseResult& r);
 
   Config cfg_;
-  // Destruction order (reverse of declaration) matters: ebr_ must drain its
-  // poison-and-recycle callbacks while arena_ is still alive, so arena_ is
-  // declared first (destroyed last).
+  // Destruction order (reverse of declaration) matters: ~EbrDomain runs
+  // every registered thread's pending callbacks, which recycle skiplist
+  // nodes into arena_, TreeNodes into tree_pool_ and HNodes into
+  // hash_pool_, so all three are declared before ebr_ (destroyed after it;
+  // DESIGN.md §3.2).
   mutable SlabArena arena_;
+  mutable SlabArena tree_pool_;
+  mutable SlabArena hash_pool_;
   mutable EbrDomain ebr_;
   DcssContext ctx_;
   mutable Engine engine_;

@@ -1,6 +1,7 @@
 #include "hash/split_ordered.h"
 
 #include <cassert>
+#include <new>
 
 #include "common/random.h"
 #include "common/stats.h"
@@ -47,10 +48,12 @@ size_t BasicSplitOrderedMap<Traits>::parent_bucket(size_t bucket) {
 
 template <typename Traits>
 BasicSplitOrderedMap<Traits>::BasicSplitOrderedMap(DcssContext ctx,
+                                                   SlabArena& pool,
                                                    size_t max_buckets)
-    : ctx_(ctx), max_buckets_(max_buckets) {
+    : ctx_(ctx), pool_(pool), max_buckets_(max_buckets) {
+  assert(pool_.block_size() >= sizeof(HNode));
   for (auto& s : segments_) s.store(nullptr, std::memory_order_relaxed);
-  list_head_ = new HNode{0, Ikey(0), 0, {0}};
+  list_head_ = make_hnode(0, Ikey(0), 0);
   dummies_.fetch_add(1, std::memory_order_relaxed);
   auto* seg = new BucketSlot[kSegSize];
   for (size_t i = 0; i < kSegSize; ++i) seg[i].store(nullptr, std::memory_order_relaxed);
@@ -60,16 +63,23 @@ BasicSplitOrderedMap<Traits>::BasicSplitOrderedMap(DcssContext ctx,
 
 template <typename Traits>
 BasicSplitOrderedMap<Traits>::~BasicSplitOrderedMap() {
-  // Single-threaded teardown: free every list node, then the directory.
-  HNode* n = list_head_;
-  while (n != nullptr) {
-    HNode* next = unpack_ptr<HNode>(n->next.load(std::memory_order_relaxed));
-    delete n;
-    n = next;
-  }
+  // Single-threaded teardown: the pool owns every list node's storage and
+  // frees it with its slabs; only the directory is ours.
   for (auto& s : segments_) {
     delete[] s.load(std::memory_order_relaxed);
   }
+}
+
+template <typename Traits>
+auto BasicSplitOrderedMap<Traits>::make_hnode(uint64_t so_key, Ikey key,
+                                              uint64_t value) const
+    -> HNode* {
+  return new (pool_.allocate()) HNode{so_key, key, value, {0}};
+}
+
+template <typename Traits>
+void BasicSplitOrderedMap<Traits>::retire_node(HNode* n) const {
+  ctx_.ebr->retire(n, &SlabArena::recycle_retired, &pool_);
 }
 
 template <typename Traits>
@@ -120,7 +130,7 @@ auto BasicSplitOrderedMap<Traits>::initialize_bucket(size_t bucket) const
       break;
     }
     if (fresh == nullptr) {
-      fresh = new HNode{so, Ikey(0), 0, {0}};
+      fresh = make_hnode(so, Ikey(0), 0);
       dummies_.fetch_add(1, std::memory_order_relaxed);
     }
     fresh->next.store(pack_ptr(fr.curr), std::memory_order_relaxed);
@@ -132,7 +142,7 @@ auto BasicSplitOrderedMap<Traits>::initialize_bucket(size_t bucket) const
   }
   if (fresh != nullptr) {
     dummies_.fetch_sub(1, std::memory_order_relaxed);
-    delete fresh;  // never published
+    pool_.recycle(fresh);  // never published
   }
   BucketSlot* slot = slot_for(bucket);
   HNode* expect = nullptr;
@@ -168,7 +178,7 @@ retry:
         // The unlinking CAS winner owns reclamation: the CAS could only
         // succeed because *prev was unmarked, i.e. curr was still on the
         // live chain and is now off it.
-        ctx_.ebr->retire_delete(curr);
+        retire_node(curr);
         prev_word = without_tags(next_word);
         continue;
       }
@@ -202,10 +212,10 @@ bool BasicSplitOrderedMap<Traits>::insert(Ikey key, uint64_t value,
   for (;;) {
     FindResult fr = find(head, so, key, /*cleanup=*/true);
     if (fr.curr != nullptr && fr.curr->so_key == so && fr.curr->key == key) {
-      if (fresh != nullptr) delete fresh;
+      if (fresh != nullptr) pool_.recycle(fresh);
       return false;  // already present
     }
-    if (fresh == nullptr) fresh = new HNode{so, key, value, {0}};
+    if (fresh == nullptr) fresh = make_hnode(so, key, value);
     fresh->next.store(pack_ptr(fr.curr), std::memory_order_relaxed);
     c.hash_updates++;
     if (guard == nullptr) {
@@ -216,7 +226,7 @@ bool BasicSplitOrderedMap<Traits>::insert(Ikey key, uint64_t value,
       if (r.success) break;
       if (r.guard_failed) {
         if (guard_failed != nullptr) *guard_failed = true;
-        delete fresh;
+        pool_.recycle(fresh);
         return false;
       }
     }
@@ -269,7 +279,7 @@ std::optional<uint64_t> BasicSplitOrderedMap<Traits>::erase(Ikey key) {
     const uint64_t value = fr.curr->value;
     // Physical unlink; on failure a later find() cleans up.
     if (counted_cas(*fr.prev, fr.curr_word, without_tags(next_word))) {
-      ctx_.ebr->retire_delete(fr.curr);
+      retire_node(fr.curr);
     }
     count_.fetch_sub(1, std::memory_order_relaxed);
     return value;
@@ -298,7 +308,7 @@ bool BasicSplitOrderedMap<Traits>::compare_and_delete(Ikey key,
       continue;
     }
     if (counted_cas(*fr.prev, fr.curr_word, without_tags(next_word))) {
-      ctx_.ebr->retire_delete(fr.curr);
+      retire_node(fr.curr);
     }
     count_.fetch_sub(1, std::memory_order_relaxed);
     return true;

@@ -19,6 +19,10 @@
 // ikey word (the trie stores encoded prefixes, which need W+1 value bits),
 // hashed through Traits::hash_mix into the 64-bit split-order key; values
 // stay uint64_t (packed TreeNode pointers) and are immutable per entry.
+// Every list node (entries and bucket dummies) lives in a caller-owned
+// SlabArena sized for HNode: EBR recycles retired nodes into it, and the
+// arena frees what is left when it dies, so it must outlive both the map
+// and the EBR domain's pending callbacks (DESIGN.md §3.2).
 // `using SplitOrderedMap = BasicSplitOrderedMap<U64Traits>` keeps the
 // historical name; U64Traits::hash_mix is the seed's mix64, byte for byte.
 // All operations are lock-free and internally pin the EBR domain (reentrant
@@ -31,6 +35,7 @@
 
 #include "common/key_traits.h"
 #include "dcss/dcss.h"
+#include "reclaim/arena.h"
 #include "reclaim/ebr.h"
 
 namespace skiptrie {
@@ -47,8 +52,11 @@ class BasicSplitOrderedMap {
     std::atomic<uint64_t> next;   // tagged word: HNode* | kMark | kDesc
   };
 
-  // ctx.ebr is used both for node reclamation and DCSS descriptors.
-  explicit BasicSplitOrderedMap(DcssContext ctx, size_t max_buckets = 1u << 20);
+  // ctx.ebr is used both for node reclamation and DCSS descriptors; pool
+  // supplies every HNode (block size sizeof(HNode), alignment
+  // alignof(HNode)).
+  BasicSplitOrderedMap(DcssContext ctx, SlabArena& pool,
+                       size_t max_buckets = 1u << 20);
   ~BasicSplitOrderedMap();
 
   BasicSplitOrderedMap(const BasicSplitOrderedMap&) = delete;
@@ -153,7 +161,13 @@ class BasicSplitOrderedMap {
 
   void maybe_grow();
 
+  // A node built in a pool block; retire_node hands an unlinked one back
+  // to the pool after its grace period.
+  HNode* make_hnode(uint64_t so_key, Ikey key, uint64_t value) const;
+  void retire_node(HNode* n) const;
+
   DcssContext ctx_;
+  SlabArena& pool_;
   const size_t max_buckets_;
   std::atomic<size_t> buckets_{2};
   std::atomic<size_t> count_{0};

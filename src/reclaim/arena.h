@@ -5,6 +5,9 @@
 // (back/prev — see DESIGN.md §3.3) always lands on memory that is still a
 // valid object of the node type: the worst a reader can observe is a
 // poisoned or recycled node, which traversal-level validation detects.
+// The x-fast trie's TreeNodes and the split-ordered map's HNodes come from
+// two more arenas, as plain pools: EBR already keeps every reader of those
+// off a block until it is recycled (DESIGN.md §3.2).
 //
 // Allocation fast path: pop from a thread-local cache (no synchronization).
 // Slow path: grab a batch from the global spill list (spinlock) or bump-
@@ -41,6 +44,12 @@ class SlabArena {
   // Makes the block available for future allocate() calls.  The caller is
   // responsible for having poisoned/destroyed the object first.
   void recycle(void* p);
+
+  // EBR callback for blocks that need no poisoning:
+  // ebr.retire(p, &SlabArena::recycle_retired, &arena).
+  static void recycle_retired(void* p, void* arena) {
+    static_cast<SlabArena*>(arena)->recycle(p);
+  }
 
   size_t block_size() const { return block_size_; }
   // Total bytes reserved from the OS (live + free-cached), for space benches.

@@ -340,7 +340,9 @@ auto BasicSkipListEngine<Traits>::walk_left(Ikey x, Node_t* from) -> Node_t* {
       return head_[top_];
     }
     if (curr->kind() == NodeKind::kHead) return head_[top_];
-    if (!curr->anchorable()) {  // poison, tail, or an unlinked insert
+    // Poison, tail, an unlinked insert, or a block recycled below the top
+    // level: a descent must never start from a foreign node (DESIGN.md §3.3).
+    if (!curr->anchorable() || curr->level() != top_) {
       c.restarts++;
       c.walk_fallbacks++;
       return head_[top_];
@@ -480,6 +482,10 @@ auto BasicSkipListEngine<Traits>::insert_from(Ikey x, uint32_t height,
   if (height == top_) {
     res.top = below;
     fix_prev(hints[top_], res.top);
+    // The successor's prev still names our old predecessor: repair it, as
+    // the paper's Figure 2 insert does and erase does for its successor
+    // (DESIGN.md §3.5(7)).
+    if (Node_t* succ = next_at(res.top)) fix_prev(res.top, succ);
   }
   return res;
 }

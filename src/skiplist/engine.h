@@ -5,7 +5,8 @@
 // recovery, and per-tower `stop` flags that halt concurrent raising when a
 // delete claims the tower.  The top level additionally maintains the
 // doubly-linked list of the paper's §3: `prev` guide pointers installed by
-// fixPrev (Alg. 1) and repaired by toplevelDelete (Alg. 2).
+// fixPrev (Alg. 1) and repaired by toplevelDelete (Alg. 2) and by the
+// insert of a new predecessor (Figure 2).
 //
 // The same engine powers both the SkipTrie's truncated skiplist
 // (top_level = ceil(log2 B), i.e. log log u) and the full-height baseline
@@ -148,7 +149,10 @@ class BasicSkipListEngine {
 
   // Walk left from `from` until reaching a node with ikey < x, following
   // back pointers on marked nodes and prev pointers otherwise (Alg. 4 body).
-  // Falls back to the top-level head when guides dead-end.
+  // Returns a linked top-level node or the top-level head: a node at any
+  // other level (storage a stale guide names, recycled into a lower tower)
+  // dead-ends like poison, and every dead end or an over-long walk falls
+  // back to the head (DESIGN.md §3.3).
   Node_t* walk_left(Ikey x, Node_t* from);
 
   // Retire an owned tower (from EraseResult) after any trie sweep.
@@ -159,7 +163,9 @@ class BasicSkipListEngine {
   // --- Introspection (tests / benches; not linearizable snapshots) ---
   // First interior node at `level` (skips marked), nullptr when empty.
   Node_t* first_at(uint32_t level) const;
-  // Next interior node after n at its level (skips marked).
+  // Next interior node after n at its level (skips marked), nullptr when
+  // only the tail follows.  insert_from also uses it to find the successor
+  // whose prev it repairs (DESIGN.md §3.5(7)).
   Node_t* next_at(Node_t* n) const;
   size_t approx_bytes() const { return arena_.bytes_reserved(); }
 

@@ -12,9 +12,10 @@
 //   back   guide pointer, set just before the node is marked; points to the
 //          node's predecessor at marking time (Fomitchev–Ruppert).  Guide
 //          only: traversals validate what they find.
-//   down   tower link to the same key's node one level below (self at
+//   down   tower link to the same key's node one level below (nullptr at
 //          level 0).  Immutable after publication.
-//   root   the tower's level-0 node.  Immutable after publication.
+//   root   the tower's level-0 node (nullptr in the level-0 node itself).
+//          Immutable after publication.
 //   prevw  top-level only: tagged word (Node* | kMark).  The backwards
 //          "guide" pointer of the doubly-linked list.  Its mark mirrors the
 //          owner's deletion so Alg. 7's DCSS can guard on

@@ -1,6 +1,7 @@
 #include "xfast/xfast_trie.h"
 
 #include <cassert>
+#include <new>
 
 #include "common/bitops.h"
 #include "common/stats.h"
@@ -34,11 +35,13 @@ uint32_t& tl_anc_len_hint4() {
 
 template <typename Traits>
 BasicXFastTrie<Traits>::BasicXFastTrie(DcssContext ctx, Engine& engine,
-                                       uint32_t bits)
+                                       uint32_t bits, SlabArena& tree_pool,
+                                       SlabArena& hash_pool)
     : ctx_(ctx), strict_ctx_{ctx.ebr, DcssMode::kDcss}, engine_(engine),
-      bits_(bits), map_(strict_ctx_) {
+      bits_(bits), tree_pool_(tree_pool), map_(strict_ctx_, hash_pool) {
   assert(bits_ >= 4 && bits_ <= Traits::kMaxBits);
-  root_ = new TreeNode();
+  assert(tree_pool_.block_size() >= sizeof(TreeNode));
+  root_ = make_tree_node();
   const bool ok = map_.insert(Traits::encode_prefix(Ikey(0), 0, bits_),
                               reinterpret_cast<uint64_t>(root_));
   assert(ok);
@@ -46,13 +49,8 @@ BasicXFastTrie<Traits>::BasicXFastTrie(DcssContext ctx, Engine& engine,
 }
 
 template <typename Traits>
-BasicXFastTrie<Traits>::~BasicXFastTrie() {
-  // Quiescent teardown: every TreeNode still referenced by the table is
-  // deleted here; TreeNodes removed earlier were EBR-retired by their
-  // removers.
-  map_.for_each([](Ikey, uint64_t value) {
-    delete reinterpret_cast<TreeNode*>(value);
-  });
+TreeNode* BasicXFastTrie<Traits>::make_tree_node() {
+  return new (tree_pool_.allocate()) TreeNode();
 }
 
 template <typename Traits>
@@ -207,7 +205,7 @@ bool BasicXFastTrie<Traits>::kill_entry(Ikey p, TreeNode* tn) {
     // Both sides tombstoned: dead for good.  Exactly one unlinker wins the
     // compareAndDelete and owns the retirement.
     if (map_.compare_and_delete(p, reinterpret_cast<uint64_t>(tn))) {
-      ctx_.ebr->retire_delete(tn);
+      ctx_.ebr->retire(tn, &SlabArena::recycle_retired, &tree_pool_);
     }
     return true;
   }
@@ -226,14 +224,14 @@ bool BasicXFastTrie<Traits>::cover_level(Ikey p, uint32_t len, uint64_t d,
       // Create the prefix entry (Alg. 6 lines 9-12); the hash insert is
       // DCSS-guarded on node staying unmarked (DESIGN.md §3.5(1)) so a
       // trie entry can never be born pointing at a marked node.
-      auto* tn = new TreeNode();
+      TreeNode* tn = make_tree_node();
       tn->ptrs[d].store(pack_ptr(node), std::memory_order_relaxed);
       bool guard_failed = false;
       if (map_.insert(p, reinterpret_cast<uint64_t>(tn), &node->next,
                       nodeword, &guard_failed)) {
         return true;  // crossed this level
       }
-      delete tn;
+      tree_pool_.recycle(tn);  // never published
       continue;  // entry appeared or node's next changed; re-examine
     }
     auto* tn = reinterpret_cast<TreeNode*>(*found);

@@ -17,6 +17,9 @@
 //
 // All methods must run under an EbrDomain::Guard (reentrant; the SkipTrie
 // wrapper pins once per public operation).
+//
+// TreeNodes and the map's HNodes come from two caller-owned SlabArenas;
+// both must outlive the trie and the EBR domain (DESIGN.md §3.2).
 #pragma once
 
 #include <cstdint>
@@ -35,9 +38,10 @@ class BasicXFastTrie {
   using Engine = BasicSkipListEngine<Traits>;
   using Map = BasicSplitOrderedMap<Traits>;
 
-  // bits: B = log2(universe size), 4..Traits::kMaxBits.
-  BasicXFastTrie(DcssContext ctx, Engine& engine, uint32_t bits);
-  ~BasicXFastTrie();
+  // bits: B = log2(universe size), 4..Traits::kMaxBits.  tree_pool holds
+  // TreeNodes, hash_pool the map's HNodes (each sized with sizeof/alignof).
+  BasicXFastTrie(DcssContext ctx, Engine& engine, uint32_t bits,
+                 SlabArena& tree_pool, SlabArena& hash_pool);
 
   BasicXFastTrie(const BasicXFastTrie&) = delete;
   BasicXFastTrie& operator=(const BasicXFastTrie&) = delete;
@@ -83,6 +87,8 @@ class BasicXFastTrie {
   // from the hash table.  Returns false if a side is live (not killable).
   bool kill_entry(Ikey p, TreeNode* tn);
 
+  TreeNode* make_tree_node();
+
   DcssContext ctx_;  // caller's context (EBR domain; mode governs the engine)
   // ALL trie maintenance (swings, entry life cycle, the hash table's guarded
   // insert) uses real DCSS even under DcssMode::kCasFallback: the fallback
@@ -94,6 +100,7 @@ class BasicXFastTrie {
   DcssContext strict_ctx_;
   Engine& engine_;
   const uint32_t bits_;
+  SlabArena& tree_pool_;
   Map map_;
   TreeNode* root_;  // entry for the empty prefix; never deleted
 };

@@ -16,12 +16,15 @@ namespace {
 
 class HashTest : public ::testing::Test {
  protected:
+  // Declared before ebr_: ~EbrDomain recycles retired nodes into the pool.
+  SlabArena pool_{sizeof(SplitOrderedMap::HNode),
+                  alignof(SplitOrderedMap::HNode)};
   EbrDomain ebr_;
   DcssContext ctx_{&ebr_, DcssMode::kDcss};
 };
 
 TEST_F(HashTest, InsertLookup) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   EXPECT_TRUE(m.insert(1, 100));
   EXPECT_TRUE(m.insert(2, 200));
   EXPECT_EQ(m.lookup(1).value_or(0), 100u);
@@ -31,7 +34,7 @@ TEST_F(HashTest, InsertLookup) {
 }
 
 TEST_F(HashTest, DuplicateInsertRejected) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   EXPECT_TRUE(m.insert(5, 1));
   EXPECT_FALSE(m.insert(5, 2));
   EXPECT_EQ(m.lookup(5).value_or(0), 1u);  // original value kept
@@ -39,7 +42,7 @@ TEST_F(HashTest, DuplicateInsertRejected) {
 }
 
 TEST_F(HashTest, EraseReturnsValue) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   m.insert(9, 90);
   EXPECT_EQ(m.erase(9).value_or(0), 90u);
   EXPECT_FALSE(m.lookup(9).has_value());
@@ -48,7 +51,7 @@ TEST_F(HashTest, EraseReturnsValue) {
 }
 
 TEST_F(HashTest, ReinsertAfterErase) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   m.insert(9, 90);
   m.erase(9);
   EXPECT_TRUE(m.insert(9, 91));
@@ -56,7 +59,7 @@ TEST_F(HashTest, ReinsertAfterErase) {
 }
 
 TEST_F(HashTest, CompareAndDeleteMatchesValue) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   m.insert(7, 70);
   EXPECT_FALSE(m.compare_and_delete(7, 71));  // wrong value
   EXPECT_TRUE(m.lookup(7).has_value());
@@ -66,7 +69,7 @@ TEST_F(HashTest, CompareAndDeleteMatchesValue) {
 }
 
 TEST_F(HashTest, GuardedInsertSucceedsWhenGuardHolds) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   std::atomic<uint64_t> guard{0x40};
   bool guard_failed = false;
   EbrDomain::Guard g(ebr_);
@@ -76,7 +79,7 @@ TEST_F(HashTest, GuardedInsertSucceedsWhenGuardHolds) {
 }
 
 TEST_F(HashTest, GuardedInsertFailsWhenGuardMismatches) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   std::atomic<uint64_t> guard{0x40};
   bool guard_failed = false;
   EbrDomain::Guard g(ebr_);
@@ -88,7 +91,7 @@ TEST_F(HashTest, GuardedInsertFailsWhenGuardMismatches) {
 TEST_F(HashTest, GuardedInsertWithMarkedGuard) {
   // Mirrors the trie's usage: guard on a node's next word being an exact
   // unmarked value; a marked word must abort the insert.
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   std::atomic<uint64_t> next_word{0x1000};
   EbrDomain::Guard g(ebr_);
   EXPECT_TRUE(m.insert(1, 10, &next_word, 0x1000, nullptr));
@@ -99,7 +102,7 @@ TEST_F(HashTest, GuardedInsertWithMarkedGuard) {
 }
 
 TEST_F(HashTest, GrowsPastInitialBuckets) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   const size_t n = 5000;
   for (uint64_t i = 0; i < n; ++i) EXPECT_TRUE(m.insert(i, i * 2));
   EXPECT_GT(m.bucket_count(), 2u);
@@ -111,7 +114,7 @@ TEST_F(HashTest, GrowsPastInitialBuckets) {
 
 TEST_F(HashTest, AdversarialKeysSameLowBits) {
   // Keys colliding in the initial buckets must still be found after splits.
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   for (uint64_t i = 0; i < 512; ++i) EXPECT_TRUE(m.insert(i << 20, i));
   for (uint64_t i = 0; i < 512; ++i) {
     ASSERT_EQ(m.lookup(i << 20).value_or(~0ull), i);
@@ -119,7 +122,7 @@ TEST_F(HashTest, AdversarialKeysSameLowBits) {
 }
 
 TEST_F(HashTest, ForEachVisitsLiveEntriesOnly) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   for (uint64_t i = 0; i < 100; ++i) m.insert(i, i);
   for (uint64_t i = 0; i < 100; i += 2) m.erase(i);
   std::set<uint64_t> seen;
@@ -129,14 +132,14 @@ TEST_F(HashTest, ForEachVisitsLiveEntriesOnly) {
 }
 
 TEST_F(HashTest, ApproxBytesGrowsWithContent) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   const size_t empty = m.approx_bytes();
   for (uint64_t i = 0; i < 1000; ++i) m.insert(i, i);
   EXPECT_GT(m.approx_bytes(), empty + 900 * sizeof(SplitOrderedMap::HNode));
 }
 
 TEST_F(HashTest, ConcurrentDisjointInserts) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   const int kThreads = 4;
   const uint64_t kPer = 10000;
   std::vector<std::thread> ts;
@@ -156,7 +159,7 @@ TEST_F(HashTest, ConcurrentDisjointInserts) {
 }
 
 TEST_F(HashTest, ConcurrentSameKeyInsertExactlyOneWins) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   for (int round = 0; round < 200; ++round) {
     std::atomic<int> wins{0};
     std::vector<std::thread> ts;
@@ -171,7 +174,7 @@ TEST_F(HashTest, ConcurrentSameKeyInsertExactlyOneWins) {
 }
 
 TEST_F(HashTest, ConcurrentInsertEraseMixedStress) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   const int kThreads = 4;
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t) {
@@ -203,7 +206,7 @@ TEST_F(HashTest, GrowthReachesLoadFactorTarget) {
   // The contract now is that after any insert the table satisfies
   // count <= buckets * kLoadFactor (up to max_buckets) — the smallest such
   // power of two, i.e. it neither lags the load target nor overshoots it.
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   const size_t n = 3000;
   for (size_t i = 0; i < n; ++i) m.insert(i * 2 + 1, i);
   EXPECT_EQ(m.size(), n);
@@ -216,7 +219,7 @@ TEST_F(HashTest, GrowthReachesLoadFactorTarget) {
 }
 
 TEST_F(HashTest, GrowthRespectsMaxBuckets) {
-  SplitOrderedMap m(ctx_, /*max_buckets=*/64);
+  SplitOrderedMap m(ctx_, pool_, /*max_buckets=*/64);
   for (size_t i = 0; i < 1000; ++i) m.insert(i * 3 + 1, i);
   EXPECT_EQ(m.bucket_count(), 64u);  // capped, load factor exceeded
   EXPECT_GT(m.load_factor(),
@@ -228,7 +231,7 @@ TEST_F(HashTest, LookupInitializesBucketsAndStaysChainLocal) {
   // between the nearest initialized ancestor's dummy and the target bucket.
   // Now the first lookup initializes the bucket (bounded one-time work) and
   // every subsequent lookup walks only the bucket-local chain.
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   const size_t n = 2000;
   Xoshiro256 rng(7);
   std::vector<uint64_t> keys;
@@ -263,7 +266,7 @@ TEST_F(HashTest, LookupInitializesBucketsAndStaysChainLocal) {
 }
 
 TEST_F(HashTest, ConcurrentCompareAndDeleteUniqueWinner) {
-  SplitOrderedMap m(ctx_);
+  SplitOrderedMap m(ctx_, pool_);
   for (int round = 0; round < 100; ++round) {
     m.insert(round, 7);
     std::atomic<int> wins{0};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -209,6 +210,40 @@ INSTANTIATE_TEST_SUITE_P(BothModes, ConcurrentModePressure,
                            return info.param == DcssMode::kDcss ? "Dcss"
                                                                 : "CasFallback";
                          });
+
+TEST(SkipTrieConcurrent, TeardownRunsParkedThreadsRecycles) {
+  // A thread that erased top-level keys and then parked, alive and
+  // unpinned, still holds their retire callbacks when the structure is
+  // destroyed.  ~EbrDomain runs them, recycling skiplist nodes, TreeNodes
+  // and HNodes into their pools, so every pool must still be alive then
+  // (DESIGN.md §3.2).  ASan reports any pool destroyed first.
+  auto t = std::make_unique<SkipTrie>(cfg(16));
+  for (uint64_t k = 0; k < 2000; ++k) t->insert(k * 31);
+  std::vector<uint64_t> tops;
+  {
+    EbrDomain::Guard g(t->ebr());
+    const uint32_t top = t->engine().top_level();
+    for (Node* n = t->engine().first_at(top); n != nullptr;
+         n = t->engine().next_at(n)) {
+      tops.push_back(n->ikey() - 1);
+    }
+  }
+  ASSERT_FALSE(tops.empty());
+  SpinBarrier parked(2);
+  std::thread worker([&] {
+    // Erasing the last top-level key kills every prefix entry but the
+    // root's, so the final operation alone retires TreeNodes and HNodes
+    // that no later scan can reclaim.
+    for (const uint64_t k : tops) EXPECT_TRUE(t->erase(k));
+    parked.arrive_and_wait();  // erases done; stay alive until teardown
+    parked.arrive_and_wait();
+  });
+  parked.arrive_and_wait();
+  EXPECT_EQ(t->trie().entry_count(), 1u);  // only the root entry is left
+  t.reset();
+  parked.arrive_and_wait();
+  worker.join();
+}
 
 TEST(SkipTrieConcurrent, MemoryIsRecycledUnderChurn) {
   SkipTrie t(cfg(20));

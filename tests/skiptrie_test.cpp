@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -228,6 +230,57 @@ TEST(SkipTrie, HopAttributionSumsToNodeHops) {
   EXPECT_GT(c.node_hops, 0u);
   EXPECT_EQ(c.node_hops, c.hops_top + c.hops_descent);
   tls_counters() = StepCounters{};
+}
+
+TEST(SkipTrie, ChurnDescentsStayShort) {
+  // perfbench's churn layout in miniature: top-level towers are erased and
+  // re-inserted over and over, so an unrepaired top-level prev names
+  // recycled storage.  Every operation must still walk only the few gaps
+  // it needs: no op crosses more than 256 nodes, and no guide forces a
+  // head restart (DESIGN.md §3.3, §3.5(7)).
+  SkipTrie t(small_cfg(32));
+  constexpr uint64_t kCandidates = 1u << 12;
+  Xoshiro256 rng(11);
+  std::vector<uint64_t> load;
+  for (uint64_t i = 0; i < kCandidates; ++i) {
+    if (rng.next() & 1) load.push_back(i << 20);
+  }
+  t.insert_batch(load);
+  std::set<uint64_t> ref(load.begin(), load.end());
+
+  uint64_t over = 0, worst = 0, wrong = 0;
+  const StepCounters phase = snapshot_counters();
+  for (int i = 0; i < 50000; ++i) {
+    const uint64_t k = rng.next_below(kCandidates) << 20;
+    const StepCounters before = snapshot_counters();
+    bool ok = true;
+    switch (rng.next_below(4)) {
+      case 0:
+        ok = t.insert(k) == ref.insert(k).second;
+        break;
+      case 1:
+        ok = t.erase(k) == (ref.erase(k) == 1);
+        break;
+      case 2: {
+        const std::optional<uint64_t> got = t.predecessor(k + 5);
+        const auto it = ref.upper_bound(k + 5);
+        ok = it == ref.begin() ? !got.has_value() : got == *std::prev(it);
+        break;
+      }
+      default:
+        ok = t.contains(k) == (ref.count(k) == 1);
+        break;
+    }
+    const StepCounters d = snapshot_counters() - before;
+    const uint64_t hops = d.hops_top + d.hops_descent;
+    worst = std::max(worst, hops);
+    over += hops > 256;
+    wrong += !ok;
+  }
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_EQ(over, 0u) << "the longest op walked " << worst << " nodes";
+  EXPECT_EQ((snapshot_counters() - phase).restarts, 0u);
+  EXPECT_TRUE(validate_structure(t).empty());
 }
 
 TEST(SkipTrie, MinimalUniverse) {

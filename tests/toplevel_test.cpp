@@ -84,7 +84,7 @@ TEST_F(TopLevelTest, Figure2Scenario) {
   ASSERT_EQ(unpack_ptr<Node>(n7->prevw.load()), n1);
 
   // Concurrent inserts of 2 and 3 complete fully (their fixPrev touches
-  // 2.prev/3.prev, not 7.prev).
+  // 2.prev/3.prev and their successor's 5.prev, not 7.prev).
   Node* n2 = insert_top(2);
   Node* n3 = insert_top(3);
   EXPECT_EQ(unpack_ptr<Node>(n2->prevw.load()), n1);
@@ -112,6 +112,19 @@ TEST_F(TopLevelTest, Figure2Scenario) {
   EXPECT_EQ(unpack_ptr<Node>(r5->prevw.load()), n3);
   eng_.fix_prev(r5, n7);
   EXPECT_EQ(unpack_ptr<Node>(n7->prevw.load()), r5);
+}
+
+TEST_F(TopLevelTest, InsertRepairsSuccessorPrev) {
+  // Figure 2's last step, done by insert itself: linking 20 between 10 and
+  // 30 must move 30.prev from 10 to 20 (DESIGN.md §3.5(7)).
+  EbrDomain::Guard g(ebr_);
+  Node* a = insert_top(10);
+  Node* c = insert_top(30);
+  ASSERT_EQ(unpack_ptr<Node>(c->prevw.load()), a);
+  Node* b = insert_top(20);
+  EXPECT_EQ(unpack_ptr<Node>(b->prevw.load()), a);
+  EXPECT_EQ(unpack_ptr<Node>(c->prevw.load()), b);
+  EXPECT_TRUE(c->ready());
 }
 
 TEST_F(TopLevelTest, DeleteRepairsSuccessorPrev) {
@@ -177,6 +190,24 @@ TEST_F(TopLevelTest, WalkLeftCrossesMarkedViaBack) {
   // Walking left from b for a bound below b must use back, not prev.
   Node* res = eng_.walk_left(ik(15), b);
   EXPECT_EQ(res, a);
+}
+
+TEST_F(TopLevelTest, WalkLeftRejectsLowerLevelGuide) {
+  // A prev guide whose target block was recycled into a level-0 node with a
+  // smaller key passes every kind/linked/ikey screen.  walk_left must still
+  // not hand it out: a descent from it would walk its whole level.
+  EbrDomain::Guard g(ebr_);
+  insert_top(10);
+  Node* b = insert_top(30);
+  const auto low = eng_.insert(ik(20), eng_.head(2), 0);
+  ASSERT_TRUE(low.inserted);
+  ASSERT_TRUE(low.root->anchorable());
+  ASSERT_EQ(low.root->level(), 0u);
+  b->prevw.store(pack_ptr(low.root));
+  Node* res = eng_.walk_left(ik(25), b);
+  EXPECT_NE(res, low.root);
+  EXPECT_TRUE(res == eng_.head(2) || res->level() == 2u);
+  EXPECT_LT(res->ikey(), ik(25));
 }
 
 TEST_F(TopLevelTest, ConcurrentInsertsKeepPrevChainConsistent) {

@@ -105,9 +105,8 @@ TEST(Validate, DetectsMissingPrefixCoverage) {
   ASSERT_TRUE(found.has_value());
   ASSERT_TRUE(map.compare_and_delete(enc, *found));
   EXPECT_FALSE(validate_structure(t).empty());
-  // The entry was removed behind the structure's back, so its TreeNode is
-  // orphaned from teardown's for_each walk: this test owns it.
-  delete reinterpret_cast<TreeNode*>(*found);
+  // The orphaned TreeNode's block stays in the trie's pool, which frees it
+  // with the structure.
 }
 
 TEST(Validate, AcceptsBothDcssModesAfterChurn) {

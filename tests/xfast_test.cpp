@@ -20,13 +20,16 @@ class XFastTest : public ::testing::Test {
  protected:
   using Ikey = typename Traits::ikey_type;
   using Node_t = NodeT<Ikey>;
+  using HNode = typename BasicSplitOrderedMap<Traits>::HNode;
   static constexpr uint32_t kBits = 8;
 
   XFastTest()
       : arena_(sizeof(Node_t), kCacheLine, 1024),
+        tree_pool_(sizeof(TreeNode), alignof(TreeNode)),
+        hash_pool_(sizeof(HNode), alignof(HNode)),
         ctx_{&ebr_, DcssMode::kDcss},
         eng_(ctx_, arena_, ceil_log2(kBits)),
-        trie_(ctx_, eng_, kBits) {}
+        trie_(ctx_, eng_, kBits, tree_pool_, hash_pool_) {}
 
   static Ikey ik(uint64_t k) { return Ikey(k + 1); }
 
@@ -50,7 +53,11 @@ class XFastTest : public ::testing::Test {
     eng_.retire_owned(r);
   }
 
+  // The arena and pools are declared before ebr_: ~EbrDomain recycles
+  // retired nodes into them.
   SlabArena arena_;
+  SlabArena tree_pool_;
+  SlabArena hash_pool_;
   EbrDomain ebr_;
   DcssContext ctx_;
   BasicSkipListEngine<Traits> eng_;

@@ -30,10 +30,6 @@
 //                     the step delta is the measured cost of W-widening —
 //                     the log log u story's other direction.
 //
-// Passing `sharded` in --structures runs the ShardedEngine through the
-// plain workload driver in the grid (shards swept from --shards) — the
-// apples-to-apples read of routing overhead vs the flat skiptrie.
-//
 // `--quick` shrinks every axis so the suite finishes in seconds; it is
 // registered in ctest so the subsystem cannot bit-rot.
 #include <algorithm>
@@ -78,12 +74,9 @@ uint64_t cell_seed(uint32_t bits, uint32_t threads, size_t mix_idx,
                (structure_idx + 1) * 11ull + repeat + 1);
 }
 
-// Canonical structure id for seeding, independent of --structures order —
-// and shared between "skiptrie" and "sharded" on purpose: matched cells
-// then run the identical workload, so the sharded-vs-flat delta (zero at
-// shards=1, pinned by tests/shard_test.cpp) is pure routing cost.
+// Canonical structure id for seeding, independent of --structures order.
 size_t structure_seed_idx(const std::string& s) {
-  if (s == "skiptrie" || s == "sharded") return 0;
+  if (s == "skiptrie") return 0;
   if (s == "skiplist") return 1;
   return 2;  // locked_map
 }
@@ -130,8 +123,7 @@ int main(int argc, char** argv) {
         "            [--batch-sizes 1,16,256] [--batch-bits B]\n"
         "            [--batch-space N] [--batch-prefill N]  (batch section)\n"
         "            [--bytes16-bits B] [--bytes16-threads 1,2]\n"
-        "            [--bytes16-mixes a,b]  (bytes16 section)\n"
-        "            [--shards 1,2,4]  (grid cells of `sharded`)\n");
+        "            [--bytes16-mixes a,b]  (bytes16 section)\n");
     return 0;
   }
   const bool quick = args.has("--quick");
@@ -178,10 +170,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> bytes16_mix_names = split_csv(
       args.get("--bytes16-mixes",
                quick ? "balanced" : "read_only,balanced,write_heavy"));
-  // Shard counts swept by `sharded` grid cells.  Power-of-two only
-  // (routing is by key prefix).
-  std::vector<uint32_t> shards_axis =
-      split_csv_u32(args.get("--shards", quick ? "1,2" : "1,2,4"));
 
   // Resolve named axes against the registries in bench_util.h; a token that
   // matches nothing is an error, not a silently shrunken sweep.
@@ -220,11 +208,10 @@ int main(int argc, char** argv) {
     }
   }
   for (const std::string& s : structures) {
-    if (s != "skiptrie" && s != "skiplist" && s != "locked_map" &&
-        s != "sharded") {
+    if (s != "skiptrie" && s != "skiplist" && s != "locked_map") {
       std::fprintf(stderr,
                    "bench_suite: unknown structure '%s' (skiptrie, skiplist, "
-                   "locked_map, sharded)\n",
+                   "locked_map)\n",
                    s.c_str());
       return 1;
     }
@@ -276,14 +263,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  for (const uint32_t s : shards_axis) {
-    // Power of two; the grid skips a count that would leave a shard fewer
-    // than 4 universe bits.
-    if (s == 0 || (s & (s - 1)) != 0 || s > (1u << 10)) {
-      std::fprintf(stderr, "bench_suite: bad shard count %u\n", s);
-      return 1;
-    }
-  }
   if (mixes.empty() || dists.empty() || structures.empty() ||
       threads_axis.empty() || bits_axis.empty()) {
     std::fprintf(stderr, "bench_suite: empty axis\n");
@@ -310,9 +289,6 @@ int main(int argc, char** argv) {
   j.kv("bytes16_bits", bytes16_bits);
   j.key("bytes16_threads").begin_array();
   for (const uint32_t t : bytes16_threads) j.value(static_cast<uint64_t>(t));
-  j.end_array();
-  j.key("shards").begin_array();
-  for (const uint32_t s : shards_axis) j.value(static_cast<uint64_t>(s));
   j.end_array();
   j.end_object();
   j.key("cells").begin_array();
@@ -372,37 +348,26 @@ int main(int argc, char** argv) {
     const uint64_t space = bench_key_space(bits);
     const uint64_t prefill = std::min<uint64_t>(grid_prefill, space / 2);
     for (size_t si = 0; si < structures.size(); ++si) {
-      // "sharded" sweeps the shard axis; everything else runs at shards=1.
-      // The cell seed ignores the shard count, so sharded cells at every N
-      // replay the same workload as the flat skiptrie cell.
-      const std::vector<uint32_t> cell_shards =
-          structures[si] == "sharded" ? shards_axis
-                                      : std::vector<uint32_t>{1};
-      for (const uint32_t shards : cell_shards) {
-        if (shards > 1 && bits < ceil_log2(shards) + 4) continue;
-        for (const uint32_t threads : threads_axis) {
-          for (size_t mi = 0; mi < mixes.size(); ++mi) {
-            for (size_t di = 0; di < dists.size(); ++di) {
-              CellSpec spec;
-              spec.section = "grid";
-              spec.structure = structures[si];
-              spec.mix_name = mixes[mi].name;
-              spec.universe_bits = bits;
-              spec.shards = shards;
-              spec.wc.threads = threads;
-              spec.wc.ops_per_thread =
-                  std::max<uint64_t>(grid_ops / threads, 1);
-              spec.wc.mix = mixes[mi].mix;
-              spec.wc.dist = dists[di];
-              spec.wc.key_space = space;
-              spec.wc.prefill = prefill;
-              spec.wc.seed = cell_seed(bits, threads, mi, di,
-                                       structure_seed_idx(structures[si]), 0);
-              spec.wc.latency_sample_every = latency_every;
-              const CellResult res = run_cell(spec);
-              write_cell(j, spec, res);
-              progress("grid");
-            }
+      for (const uint32_t threads : threads_axis) {
+        for (size_t mi = 0; mi < mixes.size(); ++mi) {
+          for (size_t di = 0; di < dists.size(); ++di) {
+            CellSpec spec;
+            spec.section = "grid";
+            spec.structure = structures[si];
+            spec.mix_name = mixes[mi].name;
+            spec.universe_bits = bits;
+            spec.wc.threads = threads;
+            spec.wc.ops_per_thread = std::max<uint64_t>(grid_ops / threads, 1);
+            spec.wc.mix = mixes[mi].mix;
+            spec.wc.dist = dists[di];
+            spec.wc.key_space = space;
+            spec.wc.prefill = prefill;
+            spec.wc.seed = cell_seed(bits, threads, mi, di,
+                                     structure_seed_idx(structures[si]), 0);
+            spec.wc.latency_sample_every = latency_every;
+            const CellResult res = run_cell(spec);
+            write_cell(j, spec, res);
+            progress("grid");
           }
         }
       }

@@ -32,7 +32,6 @@
 #include "common/random.h"
 #include "common/stats.h"
 #include "core/skiptrie.h"
-#include "shard/sharded_engine.h"
 #include "workload/driver.h"
 
 namespace skiptrie::bench {
@@ -127,7 +126,6 @@ struct CellSpec {
   std::string structure;          // "skiptrie" | "skiplist" | "locked_map"
   std::string mix_name = "balanced";
   uint32_t universe_bits = 32;
-  uint32_t shards = 1;            // "sharded" cells only (v5 axis)
   // Key-traits instantiation driving the cell (v6 axis, DESIGN.md §6):
   // "u64" is the fast path; "bytes16" runs the same u64 key stream through
   // BasicSkipTrie<Bytes16Traits> via an order-preserving spread into the
@@ -210,13 +208,6 @@ inline CellResult run_cell(const CellSpec& spec) {
     res.r = run_workload(t, spec.wc);
     res.stats = t.structure_stats();  // quiescent: workers joined
     res.has_structure_stats = true;
-  } else if (spec.structure == "sharded") {
-    Config cfg;
-    cfg.universe_bits = spec.universe_bits;
-    ShardedEngine e(spec.shards, cfg);
-    res.r = run_workload(e, spec.wc);
-    res.stats = e.structure_stats();  // aggregated across shards
-    res.has_structure_stats = true;
   } else if (spec.structure == "skiplist") {
     res.skiplist_levels = skiplist_levels_for(spec.wc.prefill);
     LockFreeSkipList s(res.skiplist_levels);
@@ -277,14 +268,13 @@ inline std::string git_rev(const Args& args) {
 //       steps.{cursor_reuses, cursor_redescends, batch_ops, batch_keys}
 //       (DESIGN.md §5.3; event counters, not shared-memory steps); a new
 //       "batch" section sweeps batch sizes.  Purely additive again.
-//   v5  sharded engine + service front-end (PR 6): cells gain the `shards`
-//       axis (default 1 — older files join as shards = 1) and
-//       steps.{shard_batches, service_requests, service_subtasks,
-//       queue_full_waits, queue_depth_sum, queue_wait_ns} (DESIGN.md §5.4;
-//       event counters, not shared-memory steps); a new "service" section
-//       runs the client simulator against the queued Service front-end,
-//       and run_cell grows a "sharded" structure (ShardedEngine under the
-//       plain workload driver).  Purely additive again.
+//   v5  sharded engine + service front-end: cells gain the `shards` axis
+//       (default 1 — older files join as shards = 1), and steps gain a
+//       shard sub-batch counter and five queue counters (event counters,
+//       not shared-memory steps); a new "service" section runs the client
+//       simulator against the queued Service front-end, and run_cell grows
+//       a "sharded" structure (the sharded engine under the plain workload
+//       driver).  Purely additive again.
 //   v6  key-traits generalization (PR 7, DESIGN.md §6): cells gain the
 //       `key_kind` axis ("u64" | "bytes16"; default "u64" — older files
 //       join as key_kind = "u64") naming the KeyTraits instantiation that
@@ -308,14 +298,19 @@ inline std::string git_rev(const Args& args) {
 //   v10 search finger deleted (DESIGN.md §5.2): steps lose the three v3
 //       finger counters.  No axis changed, so cells join v9 files
 //       unchanged.
-//   v11 Service front-end deleted (DESIGN.md §4): the "service" section,
+//   v11 Service front-end deleted: the "service" section,
 //       `service_summary`, the config.service_* keys and the five v5 queue
-//       counters are gone (steps.shard_batches stays).  No axis changed,
+//       counters are gone (the shard counter stays).  No axis changed,
 //       so cells join v10 files unchanged; v10 service cells match
 //       nothing.
+//   v12 sharded engine deleted: the "sharded" structure, the `shards`
+//       cell axis, config.shards and the v5 shard counter are gone.  Every
+//       remaining cell runs one SkipTrie or a baseline, as a v11 cell at
+//       shards = 1 did, so v11 cells join their v12 twins on the remaining
+//       axes; v11 sharded cells match nothing.
 inline void write_suite_header(JsonWriter& j, const char* suite,
                                const std::string& rev, bool quick) {
-  j.kv("schema_version", 11);
+  j.kv("schema_version", 12);
   j.kv("suite", suite);
   j.kv("git_rev", rev);
   j.kv("timestamp_utc", iso8601_utc_now());
@@ -368,13 +363,12 @@ inline void write_step_counters(JsonWriter& j, const StepCounters& s) {
   j.kv("cursor_redescends", s.cursor_redescends);
   j.kv("batch_ops", s.batch_ops);
   j.kv("batch_keys", s.batch_keys);
-  j.kv("shard_batches", s.shard_batches);
   j.end_object();
 }
 
 // One record per measured cell; keys stable across suites so files from two
 // revisions can be joined on (section, structure, universe_bits, threads,
-// mix, dist, batch_size, shards, key_kind, repeat).
+// mix, dist, batch_size, key_kind, repeat).
 inline void write_cell(JsonWriter& j, const CellSpec& spec,
                        const CellResult& res) {
   const WorkloadResult& r = res.r;
@@ -386,7 +380,6 @@ inline void write_cell(JsonWriter& j, const CellSpec& spec,
   j.kv("mix", spec.mix_name);
   j.kv("dist", key_dist_name(spec.wc.dist));
   j.kv("batch_size", spec.wc.batch_size);
-  j.kv("shards", spec.shards);
   j.kv("key_kind", spec.key_kind);
   j.kv("key_space", spec.wc.key_space);
   j.kv("prefill", spec.wc.prefill);

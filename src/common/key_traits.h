@@ -1,10 +1,10 @@
 // KeyTraits: the universe a SkipTrie instantiation runs over (DESIGN.md §6).
 //
 // Every layer of the stack — x-fast trie prefix walks, split-ordered
-// hashing, tower-height seeding, cursor bracket ikeys, shard routing,
-// batch sorting — is parameterized on one traits type that fixes the ikey
-// word, the universe width W, and the bit/prefix/mix arithmetic on it.  Two
-// instantiations ship:
+// hashing, tower-height seeding, cursor bracket ikeys, batch sorting — is
+// parameterized on one traits type that fixes the ikey word, the universe
+// width W, and the bit/prefix/mix arithmetic on it.  Two instantiations
+// ship:
 //
 //   U64Traits     W = 64.  The seed behavior, byte for byte: every static
 //                 delegates to the scalar uint64_t helpers the code used
@@ -47,7 +47,6 @@ concept KeyTraits = requires(typename T::key_type k, typename T::ikey_type ik,
   { T::universe_mask(bits) } -> std::same_as<typename T::ikey_type>;
   { T::hash_mix(ik) } -> std::same_as<uint64_t>;
   { T::height_mix(ik) } -> std::same_as<uint64_t>;
-  { T::low_u64(ik) } -> std::same_as<uint64_t>;
   { T::to_double(ik) } -> std::same_as<double>;
 };
 
@@ -84,7 +83,6 @@ struct U64Traits {
   // (§3.2): both exactly the seed's mix64.
   static uint64_t hash_mix(ikey_type x) { return mix64(x); }
   static uint64_t height_mix(ikey_type x) { return mix64(x); }
-  static constexpr uint64_t low_u64(ikey_type x) { return x; }
   static double to_double(ikey_type x) { return static_cast<double>(x); }
 };
 
@@ -125,7 +123,6 @@ struct Bytes16Traits {
   static uint64_t height_mix(ikey_type x) {
     return mix64(u128_lo(x) ^ mix64(u128_hi(x)));
   }
-  static constexpr uint64_t low_u64(ikey_type x) { return u128_lo(x); }
   static double to_double(ikey_type x) {
     return static_cast<double>(u128_hi(x)) * 18446744073709551616.0 +
            static_cast<double>(u128_lo(x));

@@ -27,7 +27,6 @@ StepCounters& StepCounters::operator+=(const StepCounters& o) {
   cursor_redescends += o.cursor_redescends;
   batch_ops += o.batch_ops;
   batch_keys += o.batch_keys;
-  shard_batches += o.shard_batches;
   return *this;
 }
 
@@ -57,7 +56,6 @@ StepCounters StepCounters::operator-(const StepCounters& o) const {
   r.cursor_redescends -= o.cursor_redescends;
   r.batch_ops -= o.batch_ops;
   r.batch_keys -= o.batch_keys;
-  r.shard_batches -= o.shard_batches;
   return r;
 }
 

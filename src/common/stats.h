@@ -65,14 +65,6 @@ struct StepCounters {
                                   // that entered at the top row or fallback
   uint64_t batch_ops = 0;         // batch API calls issued (any size)
   uint64_t batch_keys = 0;        // keys processed through the batch API
-  // Sharded-engine attribution (schema v5, DESIGN.md §5.4).  An event
-  // counter again: it tallies routing activity, never shared-memory search
-  // steps, and does NOT enter search_steps()/total_steps() — a
-  // ShardedEngine at shards=1 must report exactly the unsharded engine's
-  // step counts.
-  uint64_t shard_batches = 0;     // per-shard sub-batches executed by the
-                                  // split/merge protocol (DESIGN.md §4.3);
-                                  // equals batch calls issued at shards=1
   // Always 0: tower heights are the fixed deterministic draw.  Kept only
   // for perfbench's per-layer report, which still reads them (and, like
   // chunk_scans, left out of operator+= and operator-).

@@ -48,9 +48,8 @@ size_t BasicSplitOrderedMap<Traits>::parent_bucket(size_t bucket) {
 
 template <typename Traits>
 BasicSplitOrderedMap<Traits>::BasicSplitOrderedMap(DcssContext ctx,
-                                                   SlabArena& pool,
-                                                   size_t max_buckets)
-    : ctx_(ctx), pool_(pool), max_buckets_(max_buckets) {
+                                                   SlabArena& pool)
+    : ctx_(ctx), pool_(pool) {
   assert(pool_.block_size() >= sizeof(HNode));
   for (auto& s : segments_) s.store(nullptr, std::memory_order_relaxed);
   list_head_ = make_hnode(0, Ikey(0), 0);
@@ -318,16 +317,16 @@ bool BasicSplitOrderedMap<Traits>::compare_and_delete(Ikey key,
 template <typename Traits>
 void BasicSplitOrderedMap<Traits>::maybe_grow() {
   // Grow to the smallest power of two satisfying count <= buckets *
-  // kLoadFactor (capped at max_buckets_), not just one doubling: a table
+  // kLoadFactor (capped at kMaxBuckets), not just one doubling: a table
   // that fell behind a prefill burst (or lost growth CASes to races) must
   // reach the load-factor target on the next insert, or chains stay long
   // and every probe pays for it.
   const size_t count = count_.load(std::memory_order_relaxed);
   for (;;) {
     const size_t buckets = buckets_.load(std::memory_order_acquire);
-    if (buckets >= max_buckets_ || count <= buckets * kLoadFactor) return;
+    if (buckets >= kMaxBuckets || count <= buckets * kLoadFactor) return;
     size_t target = buckets;
-    while (target < max_buckets_ && count > target * kLoadFactor) target *= 2;
+    while (target < kMaxBuckets && count > target * kLoadFactor) target *= 2;
     size_t expect = buckets;
     if (buckets_.compare_exchange_strong(expect, target,
                                          std::memory_order_acq_rel)) {

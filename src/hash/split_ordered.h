@@ -27,6 +27,12 @@
 // historical name; U64Traits::hash_mix is the seed's mix64, byte for byte.
 // All operations are lock-free and internally pin the EBR domain (reentrant
 // with callers' pins).
+//
+// Size limit: the bucket directory is a fixed array of kMaxSegments
+// segments of kSegSize slots, so the table grows to at most kMaxBuckets =
+// 2^22 buckets.  Up to 2^22 entries the load factor stays at or below
+// kLoadFactor; past that, inserts still succeed but chains lengthen in
+// proportion (DESIGN.md §2.3).
 #pragma once
 
 #include <atomic>
@@ -55,8 +61,7 @@ class BasicSplitOrderedMap {
   // ctx.ebr is used both for node reclamation and DCSS descriptors; pool
   // supplies every HNode (block size sizeof(HNode), alignment
   // alignof(HNode)).
-  BasicSplitOrderedMap(DcssContext ctx, SlabArena& pool,
-                       size_t max_buckets = 1u << 20);
+  BasicSplitOrderedMap(DcssContext ctx, SlabArena& pool);
   ~BasicSplitOrderedMap();
 
   BasicSplitOrderedMap(const BasicSplitOrderedMap&) = delete;
@@ -120,6 +125,10 @@ class BasicSplitOrderedMap {
   static constexpr size_t kSegBits = 10;
   static constexpr size_t kSegSize = 1ull << kSegBits;
   static constexpr size_t kMaxSegments = 1ull << 12;
+  // The directory's geometry and the growth cap: maybe_grow never raises
+  // bucket_count() past it, so every bucket index maps to one of the
+  // kMaxSegments segments.
+  static constexpr size_t kMaxBuckets = kMaxSegments * kSegSize;
 
  public:
   // Items per bucket before growing.  1 (not the classic 2): the x-fast
@@ -168,7 +177,6 @@ class BasicSplitOrderedMap {
 
   DcssContext ctx_;
   SlabArena& pool_;
-  const size_t max_buckets_;
   std::atomic<size_t> buckets_{2};
   std::atomic<size_t> count_{0};
   mutable std::atomic<size_t> dummies_{0};  // lookup() may initialize buckets

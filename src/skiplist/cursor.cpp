@@ -130,13 +130,10 @@ std::vector<uint64_t> dead_owner_journal;
 std::atomic<uint64_t> dead_owner_ver{0};
 
 // Per-thread cursor registry: one stable slot per live engine the thread
-// has touched.  No eviction while the owner lives — the fixed-slot
-// round-robin it replaces rebound objects in place, retargeting references
-// an outer frame still held (aliasing) and resetting every cursor whenever
-// a thread cycled through more engines than slots, which is the steady
-// state of a sharded split batch (DESIGN.md §4.2).  Lookups scan linearly
-// with move-toward-front promotion, so the repeated-owner path stays O(1)
-// and a shard sweep costs at most one swap per shard.
+// has touched (DESIGN.md §3.8).  No eviction while the owner lives, so a
+// cursor reference stays bound to its engine however many other engines
+// the thread visits.  Lookups scan linearly with move-toward-front
+// promotion, so the repeated-owner path stays O(1).
 template <typename Traits>
 struct CursorSlot {
   uint64_t owner = 0;

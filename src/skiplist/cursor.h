@@ -103,7 +103,7 @@ class BasicDescentCursor {
 // `owner` (see SkipListEngine::cursor()).  The returned reference stays
 // valid — and keeps denoting the same engine's cursor — until that engine
 // is destroyed; fetching cursors for any number of other engines never
-// rebinds it (DESIGN.md §4.2).  Slots of destroyed engines are swept lazily
+// rebinds it (DESIGN.md §3.8).  Slots of destroyed engines are swept lazily
 // through the dead-owner journal.  One registry per traits instantiation.
 template <typename Traits>
 BasicDescentCursor<Traits>& tls_cursor(uint64_t owner,

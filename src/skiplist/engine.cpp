@@ -45,7 +45,7 @@ template <typename Traits>
 BasicSkipListEngine<Traits>::~BasicSkipListEngine() {
   // Arena owns all node storage; the only cleanup is publishing this
   // engine's owner id to the dead-owner journal so every thread's cursor
-  // registry slot for it is reclaimed (DESIGN.md §4.2).
+  // registry slot for it is reclaimed (DESIGN.md §3.8).
   release_cursor_owner(owner_);
 }
 

@@ -173,8 +173,8 @@ concept HasBatchApi = requires(Set& s, const Set& cs, const uint64_t* k,
   { cs.predecessor_batch(k, n, p) } -> std::convertible_to<size_t>;
 };
 
-// Detects the mid-run-safe structural sampler (SkipTrie and ShardedEngine
-// expose it; the baselines do not and skip structure checkpointing).
+// Detects the mid-run-safe structural sampler (SkipTrie exposes it; the
+// baselines do not and skip structure checkpointing).
 template <typename Set>
 concept HasStructureLive = requires(const Set& cs) {
   { cs.structure_live_stats() } -> std::convertible_to<StructureLiveStats>;

@@ -156,15 +156,14 @@ TEST_P(EngineConcurrent, DisjointRangesExactUnderParallelism) {
   for (auto& th : ts) th.join();
 }
 
-// --- Registry aliasing regression (DESIGN.md §4.2) ---------------------------
+// --- Registry aliasing regression (DESIGN.md §3.8) ---------------------------
 //
 // The first cursor registry held a fixed 4 slots per thread and recycled
-// them round-robin, rebinding DescentCursor objects in place.  One thread
-// touching more than 4 engines — the steady state of a sharded split batch —
-// silently retargeted references an outer frame still held (aliasing).
-// These tests pin the replacement contract: one stable object per live
-// owner, distinct across owners, swept only when the owner's engine is
-// destroyed.
+// them round-robin, rebinding DescentCursor objects in place, so a thread
+// touching more than 4 engines silently retargeted references an outer
+// frame still held (aliasing).  These tests pin the replacement contract:
+// one stable object per live owner, distinct across owners, swept only when
+// the owner's engine is destroyed.
 
 TEST(RegistryAliasingTest, CursorsStayDistinctAndStableAcrossManyOwners) {
   SlabArena arena(sizeof(Node), kCacheLine, 1024);
@@ -183,8 +182,8 @@ TEST(RegistryAliasingTest, CursorsStayDistinctAndStableAcrossManyOwners) {
         EXPECT_NE(cursors[i], cursors[j]) << i << "," << j;
       }
     }
-    // A split batch visits shards round-robin; every revisit must return
-    // the shard's own cursor object, not a recycled slot, because an outer
+    // Visiting the engines round-robin, every revisit must return the
+    // engine's own cursor object, not a recycled slot, because an outer
     // frame may still hold a reference to it.  (No bracket state carries
     // between visits: batches drop the rows at every pin.)
     for (int round = 0; round < 3; ++round) {

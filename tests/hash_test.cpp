@@ -204,7 +204,7 @@ TEST_F(HashTest, ConcurrentInsertEraseMixedStress) {
 TEST_F(HashTest, GrowthReachesLoadFactorTarget) {
   // Regression: maybe_grow used to perform at most one doubling per insert.
   // The contract now is that after any insert the table satisfies
-  // count <= buckets * kLoadFactor (up to max_buckets) — the smallest such
+  // count <= buckets * kLoadFactor (up to kMaxBuckets) — the smallest such
   // power of two, i.e. it neither lags the load target nor overshoots it.
   SplitOrderedMap m(ctx_, pool_);
   const size_t n = 3000;
@@ -218,11 +218,16 @@ TEST_F(HashTest, GrowthReachesLoadFactorTarget) {
   EXPECT_GT(m.load_factor(), 0.0);
 }
 
-TEST_F(HashTest, GrowthRespectsMaxBuckets) {
-  SplitOrderedMap m(ctx_, pool_, /*max_buckets=*/64);
-  for (size_t i = 0; i < 1000; ++i) m.insert(i * 3 + 1, i);
-  EXPECT_EQ(m.bucket_count(), 64u);  // capped, load factor exceeded
-  EXPECT_GT(m.load_factor(),
+TEST_F(HashTest, GrowthKeepsLoadFactorPastTwoToTheTwenty) {
+  // Growth stops only at the directory's geometry (2^22 buckets), so a
+  // table past 2^20 entries still keeps every x-fast probe's chain at the
+  // kLoadFactor target.  A cap at 2^20 buckets fails both checks below.
+  SplitOrderedMap m(ctx_, pool_);
+  const size_t n = (size_t{1} << 20) + 1;
+  for (size_t i = 0; i < n; ++i) m.insert(i * 2 + 1, i);
+  EXPECT_EQ(m.size(), n);
+  EXPECT_EQ(m.bucket_count(), size_t{1} << 21);
+  EXPECT_LE(m.load_factor(),
             static_cast<double>(SplitOrderedMap::kLoadFactor));
 }
 

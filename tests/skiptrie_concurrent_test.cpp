@@ -1,9 +1,13 @@
 // Concurrency stress tests: exactness on disjoint keys, invariant
-// preservation under shared-key churn, and query sanity during mutation.
+// preservation under shared-key churn, query sanity during mutation, and
+// per-op answers checked against per-client reference models while client
+// threads mix batch calls with single-key ops.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -258,6 +262,171 @@ TEST(SkipTrieConcurrent, MemoryIsRecycledUnderChurn) {
   }
   const size_t after_churn = t.structure_stats().arena_bytes;
   EXPECT_LE(after_churn, after_warmup * 3 + (1u << 20));
+}
+
+// --- Multi-writer histories against reference models ------------------------
+//
+// Client threads call one SkipTrie (B = 20) directly.  Requests alternate
+// between batch calls and single-key ops; histories are bounded and
+// seed-stable.
+
+// Each client owns one contiguous key stripe, so every insert/erase/contains
+// answer is exact against the client's stripe model.  A predecessor answer
+// is exact whenever the model holds an in-stripe predecessor p of the query
+// q: any key strictly between p and q lies in the stripe, which only this
+// client writes.  Otherwise the answer, if any, is a key of a lower stripe.
+TEST(SkipTrieConcurrent, StripedClientsExactPerOpLinearization) {
+  constexpr uint32_t kBits = 20;
+  constexpr uint32_t kClients = 4;
+  constexpr uint32_t kRequests = 120;
+  constexpr uint32_t kOpsPerRequest = 24;
+  constexpr uint64_t kStripe = (1ull << kBits) / kClients;
+
+  SkipTrie st(cfg(kBits));
+  std::atomic<uint64_t> violations{0};
+  std::vector<std::thread> clients;
+  for (uint32_t t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      const uint64_t lo = t * kStripe;
+      Xoshiro256 rng(0x1234 + t);
+      std::set<uint64_t> model;  // this stripe's reference content
+      const auto check_pred = [&](uint64_t q, std::optional<uint64_t> got) {
+        auto it = model.upper_bound(q);
+        if (it != model.begin()) return got == *std::prev(it);
+        return !got.has_value() || *got < lo;
+      };
+      std::vector<uint64_t> keys(kOpsPerRequest);
+      std::vector<uint8_t> hits(kOpsPerRequest);
+      std::vector<std::optional<uint64_t>> preds(kOpsPerRequest);
+      for (uint32_t r = 0; r < kRequests; ++r) {
+        for (uint64_t& k : keys) {
+          // Dense sub-range so duplicates and hits are common.
+          k = lo + rng.next_below(1024) * (kStripe / 1024);
+        }
+        const uint64_t op = rng.next_below(4);
+        bool ok = true;
+        if (r % 2 == 0) {
+          // One batch call of a single op type; duplicates resolve in
+          // input order, so the model replays the batch in input order.
+          switch (op) {
+            case 0:
+              st.insert_batch(keys, hits.data());
+              for (size_t i = 0; i < keys.size(); ++i) {
+                ok &= hits[i] == model.insert(keys[i]).second;
+              }
+              break;
+            case 1:
+              st.erase_batch(keys, hits.data());
+              for (size_t i = 0; i < keys.size(); ++i) {
+                ok &= hits[i] == (model.erase(keys[i]) > 0);
+              }
+              break;
+            case 2:
+              st.contains_batch(keys, hits.data());
+              for (size_t i = 0; i < keys.size(); ++i) {
+                ok &= hits[i] == (model.count(keys[i]) > 0);
+              }
+              break;
+            default:
+              st.predecessor_batch(keys, preds.data());
+              for (size_t i = 0; i < keys.size(); ++i) {
+                ok &= check_pred(keys[i], preds[i]);
+              }
+              break;
+          }
+        } else {
+          // Single-key ops of mixed types, checked as each returns.
+          for (const uint64_t k : keys) {
+            switch (rng.next_below(4)) {
+              case 0:
+                ok &= st.insert(k) == model.insert(k).second;
+                break;
+              case 1:
+                ok &= st.erase(k) == (model.erase(k) > 0);
+                break;
+              case 2:
+                ok &= st.contains(k) == (model.count(k) > 0);
+                break;
+              default:
+                ok &= check_pred(k, st.predecessor(k));
+                break;
+            }
+          }
+        }
+        if (!ok) violations.fetch_add(1, std::memory_order_relaxed);
+      }
+      // Quiescent stripe reconciliation: the structure holds exactly the
+      // model's keys inside this stripe.
+      for (uint64_t probe = 0; probe < 1024; ++probe) {
+        const uint64_t key = lo + probe * (kStripe / 1024);
+        if (st.contains(key) != (model.count(key) > 0)) {
+          violations.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  EXPECT_EQ(violations.load(), 0u);
+}
+
+// All clients fight over 32 keys spread over the universe, writes only.  An
+// insert succeeds only on an absent key and an erase only on a present one,
+// so per key the successes strictly alternate: at quiescence a key is
+// present iff successful inserts == successful erases + 1.
+TEST(SkipTrieConcurrent, SharedKeysSuccessCountsLinearize) {
+  constexpr uint32_t kBits = 20;
+  constexpr uint32_t kClients = 4;
+  constexpr uint32_t kRequests = 100;
+  constexpr uint32_t kOpsPerRequest = 16;
+  constexpr uint64_t kSharedKeys = 32;
+  constexpr uint64_t kKeyStride = (1ull << kBits) / kSharedKeys;
+
+  SkipTrie st(cfg(kBits));
+  std::atomic<uint64_t> succ_ins[kSharedKeys] = {};
+  std::atomic<uint64_t> succ_era[kSharedKeys] = {};
+  std::vector<std::thread> clients;
+  for (uint32_t t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      Xoshiro256 rng(0xfeed + t);
+      std::vector<uint64_t> ins, era;
+      std::vector<uint8_t> hits;
+      const auto tally = [](uint64_t key, bool hit,
+                            std::atomic<uint64_t>* succ) {
+        if (hit) succ[key / kKeyStride].fetch_add(1, std::memory_order_relaxed);
+      };
+      for (uint32_t r = 0; r < kRequests; ++r) {
+        ins.clear();
+        era.clear();
+        for (uint32_t i = 0; i < kOpsPerRequest; ++i) {
+          const uint64_t key = rng.next_below(kSharedKeys) * kKeyStride;
+          (rng.next_below(2) == 0 ? ins : era).push_back(key);
+        }
+        if (r % 2 == 0) {
+          hits.resize(ins.size());
+          st.insert_batch(ins, hits.data());
+          for (size_t i = 0; i < ins.size(); ++i) {
+            tally(ins[i], hits[i], succ_ins);
+          }
+          hits.resize(era.size());
+          st.erase_batch(era, hits.data());
+          for (size_t i = 0; i < era.size(); ++i) {
+            tally(era[i], hits[i], succ_era);
+          }
+        } else {
+          for (const uint64_t k : ins) tally(k, st.insert(k), succ_ins);
+          for (const uint64_t k : era) tally(k, st.erase(k), succ_era);
+        }
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+
+  for (uint64_t s = 0; s < kSharedKeys; ++s) {
+    const uint64_t ins = succ_ins[s].load();
+    const uint64_t era = succ_era[s].load();
+    ASSERT_TRUE(ins == era || ins == era + 1) << "key slot " << s;
+    EXPECT_EQ(st.contains(s * kKeyStride), ins == era + 1) << "key slot " << s;
+  }
 }
 
 }  // namespace

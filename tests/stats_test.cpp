@@ -29,8 +29,6 @@ TEST(Stats, AccumulateAndSubtract) {
   b.cursor_redescends = 2;
   b.batch_ops = 1;
   b.batch_keys = 8;
-  a.shard_batches = 3;
-  b.shard_batches = 2;
 
   StepCounters sum = a;
   sum += b;
@@ -47,7 +45,6 @@ TEST(Stats, AccumulateAndSubtract) {
   EXPECT_EQ(sum.cursor_redescends, 2u);
   EXPECT_EQ(sum.batch_ops, 1u);
   EXPECT_EQ(sum.batch_keys, 40u);
-  EXPECT_EQ(sum.shard_batches, 5u);
 
   const StepCounters diff = sum - b;
   EXPECT_EQ(diff.node_hops, a.node_hops);
@@ -62,21 +59,6 @@ TEST(Stats, AccumulateAndSubtract) {
   EXPECT_EQ(diff.cursor_redescends, 0u);
   EXPECT_EQ(diff.batch_ops, 0u);
   EXPECT_EQ(diff.batch_keys, a.batch_keys);
-  EXPECT_EQ(diff.shard_batches, a.shard_batches);
-}
-
-// The schema-v5 shard counter is a routing event, not a shared-memory
-// step: it must never leak into the paper-bound sums (a ShardedEngine at
-// shards=1 has to report exactly the unsharded step counts).
-TEST(Stats, ShardCounterIsNotAStep) {
-  StepCounters c;
-  c.node_hops = 5;
-  c.hash_probes = 2;
-  const uint64_t search = c.search_steps();
-  const uint64_t total = c.total_steps();
-  c.shard_batches = 100;
-  EXPECT_EQ(c.search_steps(), search);
-  EXPECT_EQ(c.total_steps(), total);
 }
 
 TEST(Stats, SearchStepsDefinition) {

@@ -2,10 +2,10 @@
 """Diff two BENCH_suite.json files on step counts and probe counters.
 
 Joins the "cells" arrays on (section, structure, universe_bits, threads,
-mix, dist, batch_size, shards, key_kind, repeat) — the stable key
-documented in README "Benchmarks"; batch_size and shards default to 1 and
-key_kind to "u64" for files that predate them — and reports, per matched
-cell, the relative change in:
+mix, dist, batch_size, key_kind, repeat) — the stable key documented in
+README "Benchmarks"; batch_size defaults to 1 and key_kind to "u64" for
+files that predate them — and reports, per matched cell, the relative
+change in:
 
   - steps_per_op.search and steps_per_op.total
   - per-op rates of the probe counters (hash_probes, probes_lookup,
@@ -21,13 +21,16 @@ Designed to run as a non-fatal CI report step:
 
     tools/compare_bench.py BENCH_suite.json build/BENCH_suite_quick.json
 
-Schema: accepts v1 through v11 files; counters missing from an older file
+Schema: accepts v1 through v12 files; counters missing from an older file
 are skipped (reported as "new"), never treated as zero.  The v7/v8
 ablation axes were dropped in v9 together with the layers they toggled;
 v7/v8 cells join v9 cells on the remaining axes, and cells of the deleted
 ablation sections match nothing.  v10 only dropped the finger counters and
 v11 the queue counters and the "service" section, so v9, v10 and v11 cells
-join on the same key (v10 service cells match nothing).
+join on the same key (v10 service cells match nothing).  v12 dropped the
+v5 `shards` axis with the sharded engine: the join key ignores it, so a
+v5-v11 cell (which carries shards = 1 unless it is a "sharded" cell) lands
+on its v12 twin, and "sharded" cells match nothing.
 
 `--self-test` runs the built-in join unit test (no input files needed);
 it is registered in ctest so the cross-version join cannot bit-rot.
@@ -38,13 +41,12 @@ import json
 import sys
 
 JOIN_KEY = ("section", "structure", "universe_bits", "threads", "mix",
-            "dist", "batch_size", "shards", "key_kind", "repeat")
+            "dist", "batch_size", "key_kind", "repeat")
 
 # Per-key defaults applied when a file predates an axis, so older suites
-# still join cleanly (batch_size was introduced in schema v4, shards in v5,
-# key_kind in v6; every earlier cell was implicitly unbatched, unsharded and
-# u64-keyed).
-JOIN_DEFAULTS = {"batch_size": 1, "shards": 1, "key_kind": "u64"}
+# still join cleanly (batch_size was introduced in schema v4 and key_kind
+# in v6; every earlier cell was implicitly unbatched and u64-keyed).
+JOIN_DEFAULTS = {"batch_size": 1, "key_kind": "u64"}
 
 # Of the schema-v4 cursor counters, cursor_redescends is compared (within a
 # joined cell the batching axis is fixed, so more redescends on the same
@@ -74,10 +76,11 @@ def load_cells(path):
 
 
 def self_test():
-    """Unit test of the cross-version join: a pre-v5 cell (no `shards` key)
-    must land on the v5 cell with shards == 1 and on nothing else; a pre-v6
-    cell (no `key_kind`) must land on the v6 cell with key_kind == "u64" and
-    never on a bytes16 cell; a v9 cell must land on its v10 twin."""
+    """Unit test of the cross-version join: a pre-v4 cell (no `batch_size`)
+    must land on the batch_size == 1 cell; a pre-v6 cell (no `key_kind`)
+    must land on the key_kind == "u64" cell and never on a bytes16 cell; a
+    v9 cell must land on its v10 twin; a v11 cell (shards = 1) must land on
+    its v12 twin, and v11 "sharded" and "service" cells on nothing."""
     def cell(**kw):
         c = {"section": "grid", "structure": "skiptrie", "universe_bits": 32,
              "threads": 1, "mix": "balanced", "dist": "uniform", "repeat": 0,
@@ -86,37 +89,28 @@ def self_test():
         c.update(kw)
         return c
 
-    # v4 baseline: no `shards` axis at all (and one cell without batch_size,
-    # exercising the older default too).
+    # v3 baseline: no `batch_size` axis at all.  v4 candidate: every cell
+    # carries batch_size; the batch_size=16 cell is new.
+    v3 = {"schema_version": 3, "cells": [
+        cell(),
+        cell(dist="zipf"),
+    ]}
     v4 = {"schema_version": 4, "cells": [
-        cell(batch_size=1),
+        cell(batch_size=1, steps_per_op={"search": 5.5, "total": 9.5}),
         cell(batch_size=16),
-        cell(dist="zipf"),  # no batch_size key -> defaults to 1
+        cell(dist="zipf", batch_size=1),
     ]}
-    # v5 candidate: every cell carries shards; one sharded cell is new.
-    v5 = {"schema_version": 5, "cells": [
-        cell(batch_size=1, shards=1,
-             steps_per_op={"search": 5.5, "total": 9.5}),
-        cell(batch_size=16, shards=1),
-        cell(dist="zipf", batch_size=1, shards=1),
-        cell(batch_size=1, shards=4, structure="sharded"),
-    ]}
-    base, cand = cells_of(v4), cells_of(v5)
+    base, cand = cells_of(v3), cells_of(v4)
     shared = set(base) & set(cand)
-    assert len(shared) == 3, \
-        "expected all 3 v4 cells to join v5 shards=1 cells, got %d" % \
-        len(shared)
-    si = JOIN_KEY.index("shards")
-    assert all(k[si] == 1 for k in shared), "v4 cells must join as shards=1"
+    bi = JOIN_KEY.index("batch_size")
+    assert len(shared) == 2 and all(k[bi] == 1 for k in shared), \
+        "both v3 cells must join v4 batch_size=1 cells, got %d" % len(shared)
     unmatched = set(cand) - set(base)
-    assert len(unmatched) == 1 and next(iter(unmatched))[si] == 4, \
-        "the shards=4 cell must NOT join any v4 cell"
-    # --max-shards filtering keeps only shards <= N.
-    kept = [k for k in cand if k[si] is not None and k[si] <= 1]
-    assert len(kept) == 3, "--max-shards 1 must drop exactly the 4-shard cell"
+    assert len(unmatched) == 1 and next(iter(unmatched))[bi] == 16, \
+        "the batch_size=16 cell must NOT join any v3 cell"
     # Joined metrics compare the same named counters on both sides.
-    joined_key = next(k for k in shared if k[JOIN_KEY.index("dist")] ==
-                      "uniform" and k[JOIN_KEY.index("batch_size")] == 1)
+    joined_key = next(k for k in shared
+                      if k[JOIN_KEY.index("dist")] == "uniform")
     mb, mc = metrics_of(base[joined_key]), metrics_of(cand[joined_key])
     assert mb["steps_per_op.search"] == 5.0
     assert abs(mc["steps_per_op.search"] - 5.5) < 1e-9
@@ -124,6 +118,7 @@ def self_test():
 
     # v5 -> v6: the key_kind axis.  A v5 cell (no key_kind) joins the v6
     # u64 cell; the bytes16 twin of the same cell must stay unmatched.
+    v5 = {"schema_version": 5, "cells": [cell(batch_size=1, shards=1)]}
     v6 = {"schema_version": 6, "cells": [
         cell(batch_size=1, shards=1, key_kind="u64"),
         cell(batch_size=1, shards=1, key_kind="bytes16",
@@ -159,8 +154,35 @@ def self_test():
     assert set(mb10) == set(mc10), "v9/v10 twins must compare the same metrics"
     assert abs(mc10["steps.node_hops/op"] - 3.3) < 1e-9
 
-    print("compare_bench --self-test: ok (join v4->v5->v6, v9->v10, "
-          "shards/key_kind defaults, --max-shards/--key-kind filters)")
+    # v11 -> v12: the `shards` axis left the cells.  A v11 cell at shards=1
+    # lands on its v12 twin (which has no shards key); the v11 "sharded"
+    # cells at any shard count, and a v10-style "service" cell, match
+    # nothing.
+    v11 = {"schema_version": 11, "cells": [
+        cell(batch_size=1, shards=1, key_kind="u64"),
+        cell(batch_size=1, shards=1, key_kind="u64", structure="sharded"),
+        cell(batch_size=1, shards=4, key_kind="u64", structure="sharded"),
+        cell(batch_size=1, shards=1, key_kind="u64", structure="service"),
+    ]}
+    v12 = {"schema_version": 12, "cells": [
+        cell(batch_size=1, key_kind="u64",
+             steps={"node_hops": 330, "hash_probes": 200}),
+    ]}
+    base12, cand12 = cells_of(v11), cells_of(v12)
+    shared12 = set(base12) & set(cand12)
+    si = JOIN_KEY.index("structure")
+    assert len(shared12) == 1 and next(iter(shared12))[si] == "skiptrie", \
+        "a v11 shards=1 cell must join exactly its v12 twin"
+    assert {k[si] for k in set(base12) - shared12} == {"sharded", "service"}, \
+        "v11 sharded and service cells must match nothing"
+    k12 = next(iter(shared12))
+    mb12, mc12 = metrics_of(base12[k12]), metrics_of(cand12[k12])
+    assert set(mb12) == set(mc12), \
+        "v11/v12 twins must compare the same metrics"
+    assert abs(mc12["steps.node_hops/op"] - 3.3) < 1e-9
+
+    print("compare_bench --self-test: ok (join v3->v4, v5->v6, v9->v10, "
+          "v11->v12, batch_size/key_kind defaults, --key-kind filter)")
     return 0
 
 
@@ -206,10 +228,6 @@ def main():
                          "thread step counts vary with interleaving and "
                          "host parallelism; single-thread cells are "
                          "deterministic up to cell order)")
-    ap.add_argument("--max-shards", type=int, default=None,
-                    help="only compare cells with shards <= N (multi-shard "
-                         "`sharded` cells are report-only; shards=1 cells "
-                         "reproduce the unsharded step counts exactly)")
     ap.add_argument("--key-kind", default=None,
                     help="only compare cells with this key_kind (e.g. "
                          "'u64': the gated fast path whose step counts are "
@@ -233,10 +251,6 @@ def main():
         ti = JOIN_KEY.index("threads")
         shared = [k for k in shared
                   if k[ti] is not None and k[ti] <= args.max_threads]
-    if args.max_shards is not None:
-        si = JOIN_KEY.index("shards")
-        shared = [k for k in shared
-                  if k[si] is not None and k[si] <= args.max_shards]
     if args.key_kind is not None:
         ki = JOIN_KEY.index("key_kind")
         shared = [k for k in shared if k[ki] == args.key_kind]

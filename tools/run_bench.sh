@@ -7,7 +7,7 @@
 #   tools/run_bench.sh --out FILE      choose the output path
 #
 # Compare two suites by joining their "cells" arrays on
-# (section, structure, universe_bits, threads, mix, dist, batch_size, shards,
+# (section, structure, universe_bits, threads, mix, dist, batch_size,
 # key_kind, repeat); see README "Benchmarks" and tools/compare_bench.py.
 set -euo pipefail
 cd "$(dirname "$0")/.."

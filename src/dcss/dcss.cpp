@@ -94,13 +94,13 @@ void help(Descriptor* d) {
 
 }  // namespace
 
-uint64_t dcss_read(const std::atomic<uint64_t>& word) {
-  for (;;) {
-    const uint64_t w = word.load(std::memory_order_seq_cst);
-    if (!is_desc(w)) return w;
+uint64_t dcss_read_help(const std::atomic<uint64_t>& word, uint64_t w) {
+  while (is_desc(w)) {
     tls_counters().dcss_helps++;
     help(unpack_ptr<Descriptor>(w));
+    w = word.load(std::memory_order_seq_cst);
   }
+  return w;
 }
 
 bool counted_cas(std::atomic<uint64_t>& word, uint64_t expected,

@@ -69,9 +69,20 @@ DcssResult dcss(const DcssContext& ctx, std::atomic<uint64_t>& target,
                 uint64_t expected, uint64_t desired,
                 std::atomic<uint64_t>& guard, uint64_t guard_expected);
 
+// Slow path of dcss_read: `w` was loaded from `word` and holds a
+// descriptor.  Helps it (and any that follow) to completion, then returns
+// the word's first descriptor-free value.
+uint64_t dcss_read_help(const std::atomic<uint64_t>& word, uint64_t w);
+
 // Read the logical value of a DCSS-capable word, helping any installed
-// descriptor to completion first.  Caller must be pinned.
-uint64_t dcss_read(const std::atomic<uint64_t>& word);
+// descriptor to completion first.  Caller must be pinned.  Inline: every
+// list hop and hash chain step reads through here, and almost every word
+// holds no descriptor.
+inline uint64_t dcss_read(const std::atomic<uint64_t>& word) {
+  const uint64_t w = word.load(std::memory_order_seq_cst);
+  if (!is_desc(w)) [[likely]] return w;
+  return dcss_read_help(word, w);
+}
 
 // Plain structural CAS with step accounting (used where no guard is needed).
 bool counted_cas(std::atomic<uint64_t>& word, uint64_t expected,

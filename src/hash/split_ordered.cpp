@@ -257,6 +257,33 @@ std::optional<uint64_t> BasicSplitOrderedMap<Traits>::lookup(Ikey key) const {
 }
 
 template <typename Traits>
+void BasicSplitOrderedMap<Traits>::prefetch(Ikey key, int stage) const {
+  // Reads only what lookup would read first, and only memory the map never
+  // frees while it lives: the directory and published dummies (DESIGN.md
+  // §2.5).  The acquire loads pair with the publishing CASes in slot_for
+  // and initialize_bucket, as lookup's own loads do.
+  const size_t bucket =
+      hash_of(key) & (buckets_.load(std::memory_order_acquire) - 1);
+  const BucketSlot* seg =
+      segments_[bucket >> kSegBits].load(std::memory_order_acquire);
+  if (seg == nullptr) return;
+  const BucketSlot* slot = &seg[bucket & (kSegSize - 1)];
+  if (stage == 0) {
+    prefetch_line(slot);
+    return;
+  }
+  const HNode* dummy = slot->load(std::memory_order_acquire);
+  if (dummy == nullptr) return;
+  if (stage == 1) {
+    prefetch_line(dummy);
+    return;
+  }
+  const uint64_t w = dummy->next.load(std::memory_order_acquire);
+  if (is_desc(w)) return;
+  if (const HNode* first = unpack_ptr<HNode>(w)) prefetch_line(first);
+}
+
+template <typename Traits>
 std::optional<uint64_t> BasicSplitOrderedMap<Traits>::erase(Ikey key) {
   EbrDomain::Guard g(*ctx_.ebr);
   auto& c = tls_counters();

@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "common/cacheline.h"
 #include "common/key_traits.h"
 #include "dcss/dcss.h"
 #include "reclaim/arena.h"
@@ -86,6 +87,17 @@ class BasicSplitOrderedMap {
   // past the O(1)-expected chain walk; initialization is a one-time cost
   // per bucket, amortized O(1).
   std::optional<uint64_t> lookup(Ikey key) const;
+
+  // Hint-only cache prefetch for a later lookup(key), one dependent line per
+  // stage (DESIGN.md §2.5): stage 0 fetches the key's directory slot; stage
+  // 1 loads the slot and fetches the bucket dummy; stage 2 loads the
+  // dummy's next word and fetches the first chain node.  Run the stages of
+  // one key in order, a step apart, so each load finds its line already on
+  // the way.  Unlike lookup, it initializes no bucket, allocates no segment
+  // and counts no probe; it gives up at a missing segment, an empty slot or
+  // a descriptor word.  Callers run pinned.
+  static constexpr int kPrefetchStages = 3;
+  void prefetch(Ikey key, int stage) const;
 
   // Remove key unconditionally.  Returns the removed value if any.
   std::optional<uint64_t> erase(Ikey key);
@@ -177,11 +189,14 @@ class BasicSplitOrderedMap {
 
   DcssContext ctx_;
   SlabArena& pool_;
-  std::atomic<size_t> buckets_{2};
-  std::atomic<size_t> count_{0};
-  mutable std::atomic<size_t> dummies_{0};  // lookup() may initialize buckets
-  mutable std::atomic<BucketSlot*> segments_[kMaxSegments];
   HNode* list_head_;  // dummy of bucket 0, so_key 0
+  mutable std::atomic<BucketSlot*> segments_[kMaxSegments];
+  // Every operation reads buckets_; every entry insert and erase and every
+  // bucket initialization writes count_ or dummies_.  Its own line keeps
+  // those writes from evicting it from readers' caches (DESIGN.md §2.3).
+  alignas(kCacheLine) std::atomic<size_t> buckets_{2};
+  alignas(kCacheLine) std::atomic<size_t> count_{0};
+  mutable std::atomic<size_t> dummies_{0};  // lookup() may initialize buckets
 };
 
 // The historical u64 fast-path name.

@@ -203,6 +203,11 @@ auto BasicSkipListEngine<Traits>::descend_from(Ikey x, Node_t* cur,
       rec->right_ikey_[lvl] = b.right->ikey();
     }
     if (lvl == 0) return b;
+    // The next level's bracket often ends at right's tower node one level
+    // down: for an absent key whenever that node was promoted (p = 1/2),
+    // for a present key at every level below its tower's top.  Ask for its
+    // line while the walk there starts (DESIGN.md §2.5).
+    if (b.right->kind() == NodeKind::kInterior) prefetch_line(b.right->down());
     --lvl;
     cur = b.left->kind() == NodeKind::kHead ? head_[lvl] : b.left->down();
     if (cur == nullptr) cur = head_[lvl];  // defensive

@@ -4,6 +4,7 @@
 #include <new>
 
 #include "common/bitops.h"
+#include "common/cacheline.h"
 #include "common/stats.h"
 
 namespace skiptrie {
@@ -31,6 +32,13 @@ uint32_t& tl_anc_len_hint4() {
   thread_local uint32_t v = 0;
   return v;
 }
+
+// Prefetch geometry (DESIGN.md §2.5).  Before its first probe the x-fast
+// query starts the map's three stages for every length within kProbeWindow
+// of its seed, where the gallop probes first.  The prefix sweeps run
+// kSweepAhead lengths ahead, one map stage per length.
+constexpr uint32_t kProbeWindow = 2;
+constexpr uint32_t kSweepAhead = 3;
 }  // namespace
 
 template <typename Traits>
@@ -96,6 +104,7 @@ auto BasicXFastTrie<Traits>::lowest_ancestor(Ikey key, Ikey x) -> Node_t* {
     const auto found = map_.lookup(Traits::encode_prefix(key, len, bits_));
     if (!found.has_value()) return false;
     deepest = reinterpret_cast<TreeNode*>(*found);
+    prefetch_line(deepest);  // read after the search if no deeper hit
     return true;
   };
 
@@ -109,6 +118,21 @@ auto BasicXFastTrie<Traits>::lowest_ancestor(Ikey key, Ikey x) -> Node_t* {
   uint32_t& hint4 = tl_anc_len_hint4<Traits>();
   const uint32_t hint = (hint4 + 2) / 4;
   const uint32_t seed = hint < 1 ? 1 : (hint > hi ? hi : hint);
+  // Start every window length's three dependent lines (slot, dummy, first
+  // chain node) before the first probe, stage by stage, so the lines of all
+  // the window's lengths are in flight at once (DESIGN.md §2.5).  The
+  // probes below are the same either way.
+  {
+    const uint32_t wlo = seed > kProbeWindow ? seed - kProbeWindow : 1;
+    const uint32_t whi = seed + kProbeWindow < hi ? seed + kProbeWindow : hi;
+    Ikey window[2 * kProbeWindow + 1];
+    for (uint32_t len = wlo; len <= whi; ++len) {
+      window[len - wlo] = Traits::encode_prefix(key, len, bits_);
+    }
+    for (int stage = 0; stage < Map::kPrefetchStages; ++stage) {
+      for (uint32_t i = 0; i <= whi - wlo; ++i) map_.prefetch(window[i], stage);
+    }
+  }
   if (probe(seed)) {
     lo = seed;
     uint32_t step = 1;
@@ -295,9 +319,24 @@ bool BasicXFastTrie<Traits>::cover_level(Ikey p, uint32_t len, uint64_t d,
 }
 
 template <typename Traits>
+void BasicXFastTrie<Traits>::prefetch_sweep(Ikey key, uint32_t pos,
+                                            bool bottom_up) const {
+  // Newest request first: stage 0 asks for a line nothing waits on yet,
+  // while stages 1 and 2 load lines asked for one step earlier.
+  for (int stage = 0; stage < Map::kPrefetchStages; ++stage) {
+    const uint32_t ahead = pos + kSweepAhead - static_cast<uint32_t>(stage);
+    if (ahead >= bits_) continue;
+    const uint32_t len = bottom_up ? bits_ - 1 - ahead : ahead;
+    map_.prefetch(Traits::encode_prefix(key, len, bits_), stage);
+  }
+}
+
+template <typename Traits>
 void BasicXFastTrie<Traits>::insert_prefixes(Ikey key, Node_t* node) {
   // Bottom-up: longest proper prefix first (Alg. 6 line 5).
   for (int len = static_cast<int>(bits_) - 1; len >= 0; --len) {
+    prefetch_sweep(key, bits_ - 1 - static_cast<uint32_t>(len),
+                   /*bottom_up=*/true);
     const Ikey p = Traits::encode_prefix(key, static_cast<uint32_t>(len),
                                          bits_);
     const uint64_t d = Traits::bit(key, static_cast<uint32_t>(len), bits_);
@@ -367,6 +406,7 @@ void BasicXFastTrie<Traits>::remove_prefixes(Ikey key, Node_t* node,
                           : engine_.head(engine_.top_level());
   // Top-down: shortest prefix first (Alg. 7 line 5).
   for (uint32_t len = 0; len < bits_; ++len) {
+    prefetch_sweep(key, len, /*bottom_up=*/false);
     const Ikey p = Traits::encode_prefix(key, len, bits_);
     const uint64_t d = Traits::bit(key, len, bits_);
     sweep_level(p, len, d, x, node, left_hint);

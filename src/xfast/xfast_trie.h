@@ -71,6 +71,14 @@ class BasicXFastTrie {
  private:
   Node_t* lowest_ancestor(Ikey key, Ikey x);
 
+  // One step of a prefix sweep's prefetch pipeline (DESIGN.md §2.5).  Before
+  // the sweep works on position `pos` of its order (0 .. bits - 1, longest
+  // prefix first when bottom_up), run map stage 2 for position pos + 1,
+  // stage 1 for pos + 2 and stage 0 for pos + 3, so each length's three
+  // dependent lines are requested one step apart and have all arrived when
+  // the sweep reaches it.
+  void prefetch_sweep(Ikey key, uint32_t pos, bool bottom_up) const;
+
   // One level of Alg. 6: make the entry for prefix `p` cover `node` in
   // direction `d`.  Returns false if node was marked (insert abandons the
   // climb; the deleter owns cleanup).  See DESIGN.md §3.5(3) for the entry

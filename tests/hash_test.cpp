@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <map>
 #include <set>
 #include <thread>
@@ -285,6 +287,103 @@ TEST_F(HashTest, ConcurrentCompareAndDeleteUniqueWinner) {
     ASSERT_EQ(wins.load(), 1) << "round " << round;
     ASSERT_FALSE(m.lookup(round).has_value());
   }
+}
+
+TEST_F(HashTest, PrefetchIsHintOnly) {
+  // prefetch() reads ahead of a lookup but never does a lookup's writes.
+  // The last of 2049 inserts doubles the table to 4096 buckets, so the
+  // directory segments of buckets 2048..4095 were never allocated and many
+  // buckets are uninitialized.  Prefetching thousands of keys at every
+  // stage must leave the table and the thread's counters exactly as they
+  // were; a prefetch routed through bucket_head would allocate those
+  // segments and splice their dummies, as the lookups at the end do.
+  SplitOrderedMap m(ctx_, pool_);
+  const uint64_t n = 2049;
+  for (uint64_t i = 0; i < n; ++i) ASSERT_TRUE(m.insert(i, i));
+  ASSERT_EQ(m.bucket_count(), 4096u);
+  const size_t buckets = m.bucket_count();
+  const size_t dummies = m.dummy_count();
+  const size_t size = m.size();
+  const size_t bytes = m.approx_bytes();
+  const StepCounters before = tls_counters();
+  {
+    EbrDomain::Guard g(ebr_);
+    for (int stage = 0; stage < SplitOrderedMap::kPrefetchStages; ++stage) {
+      for (uint64_t k = 0; k < 4 * n; ++k) m.prefetch(k, stage);
+    }
+  }
+  EXPECT_EQ(m.bucket_count(), buckets);
+  EXPECT_EQ(m.dummy_count(), dummies);
+  EXPECT_EQ(m.size(), size);
+  EXPECT_EQ(m.approx_bytes(), bytes);
+  const StepCounters after = tls_counters();
+  EXPECT_EQ(std::memcmp(&before, &after, sizeof(StepCounters)), 0)
+      << "prefetch moved a step counter";
+
+  // The set-up really left work for a lookup to do.
+  for (uint64_t k = 0; k < 4 * n; ++k) {
+    ASSERT_EQ(m.lookup(k).has_value(), k < n) << k;
+  }
+  EXPECT_GT(m.dummy_count(), dummies);
+  EXPECT_GT(m.approx_bytes(), bytes);
+}
+
+TEST_F(HashTest, ConcurrentPrefetchDuringUpdatesAndGrowth) {
+  // Prefetching threads race a growing insert stream and a mixed stream of
+  // plain and DCSS-guarded inserts, erases and compare_and_deletes over
+  // the same keys, so their loads meet freshly allocated segments, freshly
+  // published dummies and descriptor-tagged link words.  Under
+  // ThreadSanitizer this checks that every load the hint makes is ordered
+  // after the writes that publish what it reads.  The hint adds nothing:
+  // the table must stay self-consistent.
+  SplitOrderedMap m(ctx_, pool_);
+  const uint64_t kKeys = 1u << 14;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> prefetchers;
+  for (int t = 0; t < 2; ++t) {
+    prefetchers.emplace_back([&, t] {
+      Xoshiro256 rng(100 + t);
+      while (!stop.load(std::memory_order_relaxed)) {
+        EbrDomain::Guard g(ebr_);
+        for (int i = 0; i < 64; ++i) {
+          const uint64_t k = rng.next_below(2 * kKeys);
+          for (int stage = 0; stage < SplitOrderedMap::kPrefetchStages;
+               ++stage) {
+            m.prefetch(k, stage);
+          }
+        }
+      }
+    });
+  }
+  std::vector<std::thread> updaters;
+  updaters.emplace_back([&] {
+    for (uint64_t k = 0; k < kKeys; ++k) m.insert(2 * k, 2 * k);
+  });
+  updaters.emplace_back([&] {
+    Xoshiro256 rng(7);
+    std::atomic<uint64_t> guard{0};  // always holds 0: guarded inserts win
+    for (int i = 0; i < 40000; ++i) {
+      const uint64_t k = rng.next_below(2 * kKeys);
+      switch (rng.next_below(4)) {
+        case 0: m.insert(k, k); break;
+        case 1: m.insert(k, k, &guard, 0); break;
+        case 2: m.erase(k); break;
+        default: m.compare_and_delete(k, k); break;
+      }
+    }
+  });
+  for (auto& th : updaters) th.join();
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : prefetchers) th.join();
+
+  EXPECT_GE(m.bucket_count(), m.size() / SplitOrderedMap::kLoadFactor);
+  size_t live = 0;
+  m.for_each([&](uint64_t k, uint64_t v) {
+    EXPECT_EQ(k, v);
+    EXPECT_LT(k, 2 * kKeys);
+    ++live;
+  });
+  EXPECT_EQ(live, m.size());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "common/bitops.h"
@@ -69,8 +70,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(4u, 8u, 12u, 16u, 32u, 48u, 64u),
                        ::testing::Values(1ull, 77ull, 20260610ull)),
     [](const auto& info) {
-      return "B" + std::to_string(std::get<0>(info.param)) + "_seed" +
-             std::to_string(std::get<1>(info.param));
+      // Appends, not chained operator+: g++ 12 reports a false -Wrestrict
+      // on the chained form in optimized builds.
+      std::string name = "B";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_seed";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 // ---------------------------------------------------------------------

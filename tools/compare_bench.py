@@ -32,13 +32,17 @@ v5 `shards` axis with the sharded engine: the join key ignores it, so a
 v5-v11 cell (which carries shards = 1 unless it is a "sharded" cell) lands
 on its v12 twin, and "sharded" cells match nothing.
 
-`--self-test` runs the built-in join unit test (no input files needed);
-it is registered in ctest so the cross-version join cannot bit-rot.
+`--self-test` runs the built-in join unit test and checks that a reader
+closing the report early gets no traceback (no input files needed); it is
+registered in ctest so the cross-version join cannot bit-rot.
 """
 
 import argparse
 import json
+import os
+import subprocess
 import sys
+import tempfile
 
 JOIN_KEY = ("section", "structure", "universe_bits", "threads", "mix",
             "dist", "batch_size", "key_kind", "repeat")
@@ -181,8 +185,37 @@ def self_test():
         "v11/v12 twins must compare the same metrics"
     assert abs(mc12["steps.node_hops/op"] - 3.3) < 1e-9
 
+    # A reader that stops early (`compare_bench.py a b | head -1`) must end
+    # the report quietly, with nothing on stderr.  The report is far larger
+    # than a pipe's buffer, so the writer is still printing when the reader
+    # closes its end.
+    n = 2000
+    worse = {"search": 9.0, "total": 19.0}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, cells in (
+                ("base", [cell(repeat=i) for i in range(n)]),
+                ("cand", [cell(repeat=i, steps_per_op=worse)
+                          for i in range(n)])):
+            paths.append(os.path.join(tmp, name + ".json"))
+            with open(paths[-1], "w") as f:
+                json.dump({"schema_version": 12, "cells": cells}, f)
+        proc = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--top", str(4 * n),
+             *paths], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        proc.wait()
+    assert first.startswith(b"compare_bench: %d joinable cells" % n), first
+    assert err == b"", \
+        "a reader closing the report early must leave stderr empty, got:\n" \
+        + err.decode(errors="replace")
+
     print("compare_bench --self-test: ok (join v3->v4, v5->v6, v9->v10, "
-          "v11->v12, batch_size/key_kind defaults, --key-kind filter)")
+          "v11->v12, batch_size/key_kind defaults, --key-kind filter, "
+          "reader closing early)")
     return 0
 
 
@@ -319,5 +352,19 @@ def main():
     return 0
 
 
+def run():
+    """main(), ending quietly when the reader of stdout goes away early
+    (`compare_bench.py a b | head -5`) instead of printing a traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()  # surface a closed pipe here, not at exit
+        return code
+    except BrokenPipeError:
+        # Nothing more can be shown.  Point stdout at /dev/null so the
+        # interpreter's own flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

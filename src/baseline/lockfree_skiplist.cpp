@@ -1,6 +1,7 @@
 #include "baseline/lockfree_skiplist.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "common/random.h"
 #include "core/batch.h"
@@ -8,13 +9,26 @@
 
 namespace skiptrie {
 
-LockFreeSkipList::LockFreeSkipList(uint32_t levels, DcssMode mode,
-                                   uint64_t seed)
+namespace {
+
+// Runs as engine_'s initializer: the engine only asserts its level count,
+// and past kMaxLevels its head array overflows.
+uint32_t checked_levels(uint32_t levels) {
+  if (levels < 1 || levels > SkipListEngine::kMaxLevels) {
+    throw std::invalid_argument(
+        "LockFreeSkipList levels = " + std::to_string(levels) +
+        " is outside [1, " + std::to_string(SkipListEngine::kMaxLevels) + "]");
+  }
+  return levels;
+}
+
+}  // namespace
+
+LockFreeSkipList::LockFreeSkipList(uint32_t levels, uint64_t seed)
     : seed_(seed),
       arena_(sizeof(Node), kCacheLine, 4096),
       ebr_(),
-      ctx_{&ebr_, mode},
-      engine_(ctx_, arena_, levels) {}
+      engine_(ebr_, arena_, checked_levels(levels)) {}
 
 void LockFreeSkipList::check_key(uint64_t key) {
   if (key > max_key()) {
@@ -28,11 +42,6 @@ bool LockFreeSkipList::insert(uint64_t key) {
   const uint64_t x = ikey_of(key);
   const uint32_t h = deterministic_height(seed_, x, engine_.top_level());
   const auto r = engine_.insert(x, top_head(), h);
-  if (r.undone_top != nullptr) {
-    // No trie indexes the baseline, so a CAS-fallback top-level undo needs
-    // no sweep — just give the storage back.
-    engine_.retire_node(r.undone_top);
-  }
   if (r.inserted) size_.fetch_add(1, std::memory_order_relaxed);
   return r.inserted;
 }
@@ -89,7 +98,6 @@ size_t LockFreeSkipList::insert_batch(const uint64_t* keys, size_t n,
         const uint64_t x = ikey_of(k);
         const uint32_t h = deterministic_height(seed_, x, engine_.top_level());
         const auto r = engine_.cursor_insert(cur, x, h, nullptr, nullptr);
-        if (r.undone_top != nullptr) engine_.retire_node(r.undone_top);
         if (r.inserted) size_.fetch_add(1, std::memory_order_relaxed);
         if (results != nullptr) results[i] = r.inserted;
         return r.inserted;

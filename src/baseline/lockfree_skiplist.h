@@ -24,9 +24,9 @@ namespace skiptrie {
 class LockFreeSkipList {
  public:
   // levels: number of index levels; 20 supports ~2^20 keys at the usual
-  // 1/2 promotion probability (depth log m).
+  // 1/2 promotion probability (depth log m).  Throws std::invalid_argument
+  // outside [1, SkipListEngine::kMaxLevels], in every build.
   explicit LockFreeSkipList(uint32_t levels = 20,
-                            DcssMode mode = DcssMode::kDcss,
                             uint64_t seed = 0x5eed5eed5eed5eedull);
 
   // Largest accepted key, SkipTrie's bound at B = 64: ikey = key + 1 leaves
@@ -91,7 +91,6 @@ class LockFreeSkipList {
   uint64_t seed_;
   mutable SlabArena arena_;
   mutable EbrDomain ebr_;
-  DcssContext ctx_;
   mutable SkipListEngine engine_;
   std::atomic<int64_t> size_{0};
 };

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 
-#include "dcss/dcss.h"
-
 namespace skiptrie {
 
 struct Config {
@@ -16,11 +14,6 @@ struct Config {
   // ~1/B = 1/log u.  The SkipTrie constructor throws std::invalid_argument
   // for a value outside the traits' range, in every build.
   uint32_t universe_bits = 32;
-
-  // Full DCSS (paper default) or the paper's plain-CAS fallback (§1): the
-  // structure stays linearizable and lock-free either way; the fallback may
-  // transiently leave pointers aimed at marked nodes (repaired lazily).
-  DcssMode dcss_mode = DcssMode::kDcss;
 
   // Seed for the per-thread tower-height RNG (deterministic workloads can
   // fix this; threads still derive distinct streams).

@@ -51,9 +51,8 @@ BasicSkipTrie<Traits>::BasicSkipTrie(const Config& cfg)
       hash_pool_(sizeof(typename Trie::Map::HNode),
                  alignof(typename Trie::Map::HNode)),
       ebr_(),
-      ctx_{&ebr_, cfg.dcss_mode},
-      engine_(ctx_, arena_, ceil_log2(cfg.universe_bits)),
-      trie_(ctx_, engine_, cfg.universe_bits, tree_pool_, hash_pool_) {}
+      engine_(ebr_, arena_, ceil_log2(cfg.universe_bits)),
+      trie_(ebr_, engine_, cfg.universe_bits, tree_pool_, hash_pool_) {}
 
 template <typename Traits>
 auto BasicSkipTrie<Traits>::locate(key_type key, Ikey x) const ->
@@ -80,13 +79,6 @@ bool BasicSkipTrie<Traits>::finish_insert(
   if (r.top != nullptr) {
     trie_.insert_prefixes(key, r.top);
     top_live_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (r.undone_top != nullptr) {
-    // CAS-fallback top-level undo (DESIGN.md §3.5(5)): the node was briefly
-    // linked at the top, so a concurrent Alg. 7 swing may have installed it
-    // into the trie.  Sweep before its storage can be recycled.
-    trie_.remove_prefixes(key, r.undone_top, nullptr);
-    engine_.retire_node(r.undone_top);
   }
   return true;
 }

@@ -230,8 +230,7 @@ class BasicSkipTrie {
   static Node_t* trie_start(void* env, Ikey x);
 
   // Post-descent bodies shared by the single-key and batched write paths:
-  // size accounting plus the Alg. 6/7 trie sweeps (including the
-  // CAS-fallback undone_top sweep, DESIGN.md §3.5(5)).
+  // size accounting plus the Alg. 6/7 trie sweeps.
   bool finish_insert(key_type key, const typename Engine::InsertResult& r);
   bool finish_erase(key_type key, const typename Engine::EraseResult& r);
 
@@ -245,7 +244,6 @@ class BasicSkipTrie {
   mutable SlabArena tree_pool_;
   mutable SlabArena hash_pool_;
   mutable EbrDomain ebr_;
-  DcssContext ctx_;
   mutable Engine engine_;
   mutable Trie trie_;
   std::atomic<int64_t> size_{0};

@@ -20,19 +20,6 @@ struct alignas(16) Descriptor {
   std::atomic<uint32_t> outcome{kUndecided};
 };
 
-// Logical value of a word that may hold a *settled* descriptor: read through
-// decided descriptors (linearizes the read at the moment the outcome was
-// loaded).  Used for failure witnesses, where an undecided descriptor's
-// expected value is an acceptable answer.
-uint64_t read_through(uint64_t w) {
-  while (is_desc(w)) {
-    auto* d = unpack_ptr<Descriptor>(w);
-    const uint32_t out = d->outcome.load(std::memory_order_acquire);
-    w = (out == kSuccess) ? d->desired : d->expected;
-  }
-  return w;
-}
-
 void help(Descriptor* d);
 
 // Evaluate the logical value of d's guard word for d's decision.  A foreign
@@ -115,7 +102,7 @@ bool counted_cas(std::atomic<uint64_t>& word, uint64_t expected,
   return false;
 }
 
-DcssResult dcss(const DcssContext& ctx, std::atomic<uint64_t>& target,
+DcssResult dcss(EbrDomain& ebr, std::atomic<uint64_t>& target,
                 uint64_t expected, uint64_t desired,
                 std::atomic<uint64_t>& guard, uint64_t guard_expected) {
   // All DCSS-word values are tagged pointer words: bit 1 (kDesc) is
@@ -123,24 +110,6 @@ DcssResult dcss(const DcssContext& ctx, std::atomic<uint64_t>& target,
   assert(!is_desc(expected) && !is_desc(desired) && !is_desc(guard_expected));
   auto& c = tls_counters();
   DcssResult r;
-
-  if (ctx.mode == DcssMode::kCasFallback) {
-    // The paper's fallback: drop the second guard, plain CAS.  Linearizable
-    // and lock-free, but pointer swings onto freshly-marked nodes become
-    // possible (they are repaired by later traversals).
-    c.cas_attempts++;
-    uint64_t e = expected;
-    if (target.compare_exchange_strong(e, desired,
-                                       std::memory_order_seq_cst)) {
-      r.success = true;
-      r.witness = expected;
-      return r;
-    }
-    c.cas_failures++;
-    r.witness = read_through(e);
-    return r;
-  }
-
   c.dcss_attempts++;
   auto* d = new Descriptor();
   d->target = &target;
@@ -164,7 +133,6 @@ DcssResult dcss(const DcssContext& ctx, std::atomic<uint64_t>& target,
     }
     // Genuine value mismatch.
     delete d;  // never published, safe to free immediately
-    r.witness = e;
     return r;
   }
 
@@ -172,9 +140,8 @@ DcssResult dcss(const DcssContext& ctx, std::atomic<uint64_t>& target,
   const bool ok = d->outcome.load(std::memory_order_acquire) == kSuccess;
   r.success = ok;
   r.guard_failed = !ok;
-  r.witness = expected;
   if (!ok) c.dcss_guard_fails++;
-  ctx.ebr->retire_delete(d);
+  ebr.retire_delete(d);
   return r;
 }
 

@@ -33,9 +33,9 @@
 // both prevents mutual-helping cycles and guarantees exactly one of two
 // crossed operations wins.
 //
-// The paper proves the SkipTrie remains linearizable and lock-free when DCSS
-// is replaced by plain CAS (dropping the guard).  DcssMode::kCasFallback
-// selects exactly that, and is used by the A1 ablation benchmark.
+// The paper notes that plain CAS (dropping the guard) would also keep the
+// SkipTrie linearizable and lock-free; every guarded swing here is a real
+// DCSS all the same (DESIGN.md §3.1).
 #pragma once
 
 #include <atomic>
@@ -46,26 +46,16 @@
 
 namespace skiptrie {
 
-enum class DcssMode : uint8_t {
-  kDcss,         // full descriptor-based DCSS
-  kCasFallback,  // plain CAS; guard ignored (paper's fallback)
-};
-
-struct DcssContext {
-  EbrDomain* ebr;
-  DcssMode mode = DcssMode::kDcss;
-};
-
 struct DcssResult {
   bool success = false;
   bool guard_failed = false;  // failed because the guard word mismatched
-  uint64_t witness = 0;       // target's logical value observed on failure
 };
 
 // Perform DCSS on `target`.  expected/desired must be untagged-with-kDesc
 // values (kMark is fine).  The calling thread must hold an EbrDomain::Guard
-// on ctx.ebr for the duration of the enclosing operation.
-DcssResult dcss(const DcssContext& ctx, std::atomic<uint64_t>& target,
+// on `ebr`, which also reclaims the descriptor, for the duration of the
+// enclosing operation.
+DcssResult dcss(EbrDomain& ebr, std::atomic<uint64_t>& target,
                 uint64_t expected, uint64_t desired,
                 std::atomic<uint64_t>& guard, uint64_t guard_expected);
 

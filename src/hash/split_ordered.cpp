@@ -47,9 +47,9 @@ size_t BasicSplitOrderedMap<Traits>::parent_bucket(size_t bucket) {
 }
 
 template <typename Traits>
-BasicSplitOrderedMap<Traits>::BasicSplitOrderedMap(DcssContext ctx,
+BasicSplitOrderedMap<Traits>::BasicSplitOrderedMap(EbrDomain& ebr,
                                                    SlabArena& pool)
-    : ctx_(ctx), pool_(pool) {
+    : ebr_(ebr), pool_(pool) {
   assert(pool_.block_size() >= sizeof(HNode));
   for (auto& s : segments_) s.store(nullptr, std::memory_order_relaxed);
   list_head_ = make_hnode(0, Ikey(0), 0);
@@ -78,7 +78,7 @@ auto BasicSplitOrderedMap<Traits>::make_hnode(uint64_t so_key, Ikey key,
 
 template <typename Traits>
 void BasicSplitOrderedMap<Traits>::retire_node(HNode* n) const {
-  ctx_.ebr->retire(n, &SlabArena::recycle_retired, &pool_);
+  ebr_.retire(n, &SlabArena::recycle_retired, &pool_);
 }
 
 template <typename Traits>
@@ -200,7 +200,7 @@ bool BasicSplitOrderedMap<Traits>::insert(Ikey key, uint64_t value,
                                           std::atomic<uint64_t>* guard,
                                           uint64_t guard_expected,
                                           bool* guard_failed) {
-  EbrDomain::Guard g(*ctx_.ebr);
+  EbrDomain::Guard g(ebr_);
   auto& c = tls_counters();
   const uint64_t so = regular_so_key(key);
   const size_t bucket =
@@ -220,7 +220,7 @@ bool BasicSplitOrderedMap<Traits>::insert(Ikey key, uint64_t value,
     if (guard == nullptr) {
       if (counted_cas(*fr.prev, fr.curr_word, pack_ptr(fresh))) break;
     } else {
-      DcssResult r = dcss(ctx_, *fr.prev, fr.curr_word, pack_ptr(fresh),
+      DcssResult r = dcss(ebr_, *fr.prev, fr.curr_word, pack_ptr(fresh),
                           *guard, guard_expected);
       if (r.success) break;
       if (r.guard_failed) {
@@ -238,7 +238,7 @@ bool BasicSplitOrderedMap<Traits>::insert(Ikey key, uint64_t value,
 
 template <typename Traits>
 std::optional<uint64_t> BasicSplitOrderedMap<Traits>::lookup(Ikey key) const {
-  EbrDomain::Guard g(*ctx_.ebr);
+  EbrDomain::Guard g(ebr_);
   tls_counters().probes_lookup++;
   const uint64_t so = regular_so_key(key);
   const size_t bucket =
@@ -285,7 +285,7 @@ void BasicSplitOrderedMap<Traits>::prefetch(Ikey key, int stage) const {
 
 template <typename Traits>
 std::optional<uint64_t> BasicSplitOrderedMap<Traits>::erase(Ikey key) {
-  EbrDomain::Guard g(*ctx_.ebr);
+  EbrDomain::Guard g(ebr_);
   auto& c = tls_counters();
   const uint64_t so = regular_so_key(key);
   const size_t bucket =
@@ -315,7 +315,7 @@ std::optional<uint64_t> BasicSplitOrderedMap<Traits>::erase(Ikey key) {
 template <typename Traits>
 bool BasicSplitOrderedMap<Traits>::compare_and_delete(Ikey key,
                                                       uint64_t expected_value) {
-  EbrDomain::Guard g(*ctx_.ebr);
+  EbrDomain::Guard g(ebr_);
   auto& c = tls_counters();
   const uint64_t so = regular_so_key(key);
   const size_t bucket =

@@ -59,10 +59,10 @@ class BasicSplitOrderedMap {
     std::atomic<uint64_t> next;   // tagged word: HNode* | kMark | kDesc
   };
 
-  // ctx.ebr is used both for node reclamation and DCSS descriptors; pool
+  // ebr is used both for node reclamation and DCSS descriptors; pool
   // supplies every HNode (block size sizeof(HNode), alignment
   // alignof(HNode)).
-  BasicSplitOrderedMap(DcssContext ctx, SlabArena& pool);
+  BasicSplitOrderedMap(EbrDomain& ebr, SlabArena& pool);
   ~BasicSplitOrderedMap();
 
   BasicSplitOrderedMap(const BasicSplitOrderedMap&) = delete;
@@ -187,7 +187,7 @@ class BasicSplitOrderedMap {
   HNode* make_hnode(uint64_t so_key, Ikey key, uint64_t value) const;
   void retire_node(HNode* n) const;
 
-  DcssContext ctx_;
+  EbrDomain& ebr_;
   SlabArena& pool_;
   HNode* list_head_;  // dummy of bucket 0, so_key 0
   mutable std::atomic<BucketSlot*> segments_[kMaxSegments];

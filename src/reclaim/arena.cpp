@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 
@@ -82,7 +83,12 @@ void* SlabArena::slow_allocate(ThreadCache& c, bool* fresh) {
   if (bump_ == nullptr || bump_ + block_size_ > bump_end_) {
     const size_t bytes = block_size_ * blocks_per_slab_;
     char* slab = static_cast<char*>(std::aligned_alloc(align_, bytes));
-    assert(slab != nullptr);
+    // Checked in every build: allocate() never returns nullptr.
+    if (slab == nullptr) {
+      std::fprintf(stderr, "SlabArena: cannot allocate a slab of %zu bytes\n",
+                   bytes);
+      std::abort();
+    }
     slabs_.push_back(slab);
     bump_ = slab;
     bump_end_ = slab + bytes;

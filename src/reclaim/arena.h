@@ -35,7 +35,8 @@ class SlabArena {
   SlabArena(const SlabArena&) = delete;
   SlabArena& operator=(const SlabArena&) = delete;
 
-  // Returns storage of block_size bytes.  Never nullptr.  If fresh is
+  // Returns storage of block_size bytes.  Never nullptr: a slab that cannot
+  // be allocated aborts with its byte count, in every build.  If fresh is
   // non-null, *fresh is set to true when the block has never been handed
   // out before (callers placement-new only on fresh blocks; recycled blocks
   // still contain a live, poisoned object — see DESIGN.md §3.3).

@@ -24,10 +24,10 @@ constexpr uint32_t kEqualRunLimit = 64;
 }  // namespace
 
 template <typename Traits>
-BasicSkipListEngine<Traits>::BasicSkipListEngine(DcssContext ctx,
+BasicSkipListEngine<Traits>::BasicSkipListEngine(EbrDomain& ebr,
                                                  SlabArena& arena,
                                                  uint32_t top_level)
-    : ctx_(ctx), arena_(arena), top_(top_level), owner_(new_cursor_owner()) {
+    : ebr_(ebr), arena_(arena), top_(top_level), owner_(new_cursor_owner()) {
   assert(top_ >= 1 && top_ <= kMaxLevels);
   assert(arena_.block_size() >= sizeof(Node_t));
   bool fresh = false;
@@ -68,21 +68,18 @@ auto BasicSkipListEngine<Traits>::make_node(Ikey ikey, uint32_t level,
 }
 
 template <typename Traits>
-void BasicSkipListEngine<Traits>::retire_node(Node_t* n) {
-  tls_counters().retired_nodes++;
-  ctx_.ebr->retire(
-      n,
-      +[](void* p, void* a) {
-        auto* node = static_cast<Node_t*>(p);
-        node->poison();
-        static_cast<SlabArena*>(a)->recycle(node);
-      },
-      &arena_);
-}
-
-template <typename Traits>
 void BasicSkipListEngine<Traits>::retire_owned(const EraseResult& r) {
-  for (uint32_t i = 0; i < r.owned_count; ++i) retire_node(r.owned[i]);
+  tls_counters().retired_nodes += r.owned_count;
+  for (uint32_t i = 0; i < r.owned_count; ++i) {
+    ebr_.retire(
+        r.owned[i],
+        +[](void* p, void* a) {
+          auto* node = static_cast<Node_t*>(p);
+          node->poison();
+          static_cast<SlabArena*>(a)->recycle(node);
+        },
+        &arena_);
+  }
 }
 
 template <typename Traits>
@@ -302,14 +299,14 @@ void BasicSkipListEngine<Traits>::fix_prev(Node_t* hint, Node_t* node) {
     // Install left as node's prev, guarded on left being unmarked and
     // adjacent (left.next == node): the paper's DCSS(node.prev, pv, left,
     // left.succ, (node, 0)).
-    const DcssResult r = dcss(ctx_, node->prevw, pv, pack_ptr(b.left),
+    const DcssResult r = dcss(ebr_, node->prevw, pv, pack_ptr(b.left),
                               b.left->next, pack_ptr(node));
     if (r.success) break;
     bo.spin();  // every retry implies a concurrent neighborhood change
     if (r.guard_failed) {
       b = list_search(x, b.left, top_);
     }
-    // On witness mismatch the loop re-reads prevw.
+    // On a prevw mismatch the loop re-reads prevw.
   }
   node->set_ready();
 }
@@ -325,7 +322,7 @@ void BasicSkipListEngine<Traits>::make_done(Node_t* left, Node_t* right) {
   }
   const uint64_t pv = dcss_read(right->prevw);
   if (is_marked(pv) || unpack_ptr<Node_t>(pv) == left) return;
-  dcss(ctx_, right->prevw, pv, pack_ptr(left), left->next, pack_ptr(right));
+  dcss(ebr_, right->prevw, pv, pack_ptr(left), left->next, pack_ptr(right));
 }
 
 template <typename Traits>
@@ -366,53 +363,26 @@ auto BasicSkipListEngine<Traits>::walk_left(Ikey x, Node_t* from) -> Node_t* {
 }
 
 template <typename Traits>
-auto BasicSkipListEngine<Traits>::raise_level(Node_t* root, Node_t* nnode,
+bool BasicSkipListEngine<Traits>::raise_level(Node_t* root, Node_t* nnode,
                                               Ikey x, uint32_t lvl,
-                                              Node_t*& hint) -> RaiseStatus {
+                                              Node_t*& hint) {
   Backoff bo;
   for (;;) {
-    if (root->stopw.load(std::memory_order_seq_cst) != 0) {
-      return RaiseStatus::kStoppedUnpublished;
-    }
+    if (root->stopw.load(std::memory_order_seq_cst) != 0) return false;
     Bracket b = list_search(x, hint, lvl);
     hint = b.left;
-    if (b.right->ikey() == x) {
-      return RaiseStatus::kStoppedUnpublished;  // same key already here
-    }
+    if (b.right->ikey() == x) return false;  // same key already here
     // Release: a reader that reads this word through a stale guide then
     // sees the block's advanced life count (DESIGN.md §3.3).
     nnode->next.store(pack_ptr(b.right), std::memory_order_release);
     // The paper (§2): "Each insertion is conditioned on the stop flag of the
-    // root remaining unset" — DCSS on the predecessor link guarded by stopw.
-    const DcssResult r = dcss(ctx_, b.left->next, pack_ptr(b.right),
+    // root remaining unset" — DCSS on the predecessor link guarded by stopw,
+    // so no link lands after a delete claims the tower (erase_from).
+    const DcssResult r = dcss(ebr_, b.left->next, pack_ptr(b.right),
                               pack_ptr(nnode), root->stopw, 0);
     if (r.success) {
       nnode->set_linked();
-      if (ctx_.mode == DcssMode::kCasFallback &&
-          root->stopw.load(std::memory_order_seq_cst) != 0) {
-        // CAS fallback dropped the guard and the link may have landed after
-        // a delete claimed the tower; undo our own link so the deleter's
-        // sweep cannot strand this node (DESIGN.md §3.5(5)).
-        if (mark_node(nnode, b.left)) {
-          if (lvl == top_) {
-            // Mirror the mark into the prev word (as erase does) so Alg. 7
-            // forward-swing guards on (prev, marked) fail for this node.
-            set_prev_mark(nnode);
-          }
-          list_search(x, b.left, lvl);  // ensure physically unlinked
-          if (lvl == top_) {
-            // While linked at the top level the node may have been
-            // installed into the x-fast trie by a concurrent Alg. 7 swing;
-            // the caller must run the trie sweep before retiring it
-            // (DESIGN.md §3.5(5)).  Below the top no trie pointer can name
-            // it, so retiring immediately is safe.
-            return RaiseStatus::kStoppedPublished;
-          }
-          retire_node(nnode);
-        }
-        return RaiseStatus::kStoppedUnpublished;
-      }
-      return RaiseStatus::kOk;
+      return true;
     }
     // On any failure, retry from the loop head: the stopw re-check there is
     // the authoritative stop signal.  guard_failed alone is not — guard
@@ -463,23 +433,9 @@ auto BasicSkipListEngine<Traits>::insert_from(Ikey x, uint32_t height,
   Node_t* below = root;
   for (uint32_t lvl = 1; lvl <= height; ++lvl) {
     Node_t* n = make_node(x, lvl, height, below, root);
-    const RaiseStatus st = raise_level(root, n, x, lvl, hints[lvl]);
-    if (st == RaiseStatus::kStoppedPublished) {
-      // CAS-fallback undo at the top level: n is marked (we own it) but may
-      // have entered the trie while linked; the caller sweeps, then retires.
-      res.undone_top = n;
-      return res;
-    }
-    if (st == RaiseStatus::kStoppedUnpublished) {
-      // raise_level either never published n (common case) or already
-      // retired it (CAS-fallback undo below the top, in which case it was
-      // marked and the mark winner owns it — raise_level handled that
-      // internally and n must not be touched again).  Distinguish via the
-      // mark: an unpublished node is still unmarked.
-      if (!is_marked(n->next.load(std::memory_order_acquire))) {
-        n->poison();
-        arena_.recycle(n);
-      }
+    if (!raise_level(root, n, x, lvl, hints[lvl])) {
+      n->poison();
+      arena_.recycle(n);  // never published
       return res;
     }
     below = n;
@@ -503,7 +459,7 @@ auto BasicSkipListEngine<Traits>::find_tower_node(Ikey x, Node_t* root,
   left = b.left;
   Node_t* c = b.right;
   // Equal-key runs can transiently hold several nodes (a marked old tower
-  // plus a new one, or CAS-fallback orphans); scan for ours.
+  // plus a new one); scan for ours.
   for (uint32_t i = 0; c != nullptr && c->ikey() == x && i < kEqualRunLimit;
        ++i) {
     if (c->root() == root) return c;
@@ -537,35 +493,30 @@ auto BasicSkipListEngine<Traits>::erase_from(Ikey x, Node_t** hints,
     return res;
   }
 
-  // Top-down sweep; repeat until a pass finds nothing so that raises racing
-  // the claim (possible in CAS-fallback mode) cannot strand tower nodes.
-  bool had_top = false;
-  for (;;) {
-    bool found_any = false;
-    for (int lvl = static_cast<int>(top_); lvl >= 1; --lvl) {
-      Node_t* left = hints[lvl];
-      Node_t* tn = find_tower_node(x, root, static_cast<uint32_t>(lvl), left);
-      hints[lvl] = left;
-      if (tn == nullptr) continue;
-      found_any = true;
-      if (static_cast<uint32_t>(lvl) == top_) {
-        had_top = true;
-        res.top = tn;
-        // Alg. 2: make sure the node was completely inserted first.
-        if (!tn->ready()) {
-          fix_prev(left, tn);
-        }
-        const bool won = mark_node(tn, left);
-        set_prev_mark(tn);  // mirror the mark into the prev word (Alg. 7)
-        list_search(x, left, static_cast<uint32_t>(lvl));  // force unlink
-        if (won) res.owned[res.owned_count++] = tn;
-      } else {
-        const bool won = mark_node(tn, left);
-        list_search(x, left, static_cast<uint32_t>(lvl));
-        if (won) res.owned[res.owned_count++] = tn;
+  // One top-down pass finds every tower node.  Each raise links by DCSS
+  // guarded on stopw == 0, so none can land after the claim above; a link
+  // decided before it is in place or still in its descriptor, which the
+  // pass's reads help to finish.
+  for (int lvl = static_cast<int>(top_); lvl >= 1; --lvl) {
+    Node_t* left = hints[lvl];
+    Node_t* tn = find_tower_node(x, root, static_cast<uint32_t>(lvl), left);
+    hints[lvl] = left;
+    if (tn == nullptr) continue;
+    if (static_cast<uint32_t>(lvl) == top_) {
+      res.top = tn;
+      // Alg. 2: make sure the node was completely inserted first.
+      if (!tn->ready()) {
+        fix_prev(left, tn);
       }
+      const bool won = mark_node(tn, left);
+      set_prev_mark(tn);  // mirror the mark into the prev word (Alg. 7)
+      list_search(x, left, static_cast<uint32_t>(lvl));  // force unlink
+      if (won) res.owned[res.owned_count++] = tn;
+    } else {
+      const bool won = mark_node(tn, left);
+      list_search(x, left, static_cast<uint32_t>(lvl));
+      if (won) res.owned[res.owned_count++] = tn;
     }
-    if (!found_any) break;
   }
 
   // Level 0 last: this mark is the linearization point of the delete.
@@ -574,7 +525,7 @@ auto BasicSkipListEngine<Traits>::erase_from(Ikey x, Node_t** hints,
   if (won0) res.owned[res.owned_count++] = root;
   res.erased = true;
 
-  if (had_top) {
+  if (res.top != nullptr) {
     // Alg. 2 lines 4-7: repair the successor's prev pointer until the
     // successor itself is stable.
     Node_t* l = hints[top_];

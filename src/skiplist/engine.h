@@ -21,9 +21,10 @@
 // for both shipped traits.
 //
 // Concurrency contract: every public method must run under an
-// EbrDomain::Guard on ctx.ebr (guards are reentrant; the SkipTrie wrapper
-// pins once per operation).  Node storage comes from a type-stable
-// SlabArena; see DESIGN.md §3.3 for why stale guide pointers are safe.
+// EbrDomain::Guard on the engine's domain (guards are reentrant; the
+// SkipTrie wrapper pins once per operation).  Node storage comes from a
+// type-stable SlabArena; see DESIGN.md §3.3 for why stale guide pointers
+// are safe.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +49,7 @@ class BasicSkipListEngine {
   static constexpr uint32_t kMaxLevels = 40;  // supports the log-m baseline
 
   // top_level: index of the highest level (inclusive).
-  BasicSkipListEngine(DcssContext ctx, SlabArena& arena, uint32_t top_level);
+  BasicSkipListEngine(EbrDomain& ebr, SlabArena& arena, uint32_t top_level);
   ~BasicSkipListEngine();
 
   BasicSkipListEngine(const BasicSkipListEngine&) = delete;
@@ -62,11 +63,6 @@ class BasicSkipListEngine {
   struct InsertResult {
     Node_t* root = nullptr;  // level-0 node; nullptr if the key was present
     Node_t* top = nullptr;   // top-level node if the tower reached top_level
-    // CAS-fallback only: a top-level node we linked, then marked and
-    // unlinked because a delete had already claimed the tower (DESIGN.md
-    // §3.5(5)).  The caller must run the trie sweep for it, then
-    // retire_node() it — while linked it may have entered the trie.
-    Node_t* undone_top = nullptr;
     bool inserted = false;
   };
 
@@ -83,7 +79,6 @@ class BasicSkipListEngine {
   uint32_t top_level() const { return top_; }
   Node_t* head(uint32_t level) const { return head_[level]; }
   Node_t* tail() const { return tail_; }
-  const DcssContext& ctx() const { return ctx_; }
 
   // The paper's listSearch(x, start) at a given level: returns (left, right)
   // with left.ikey < x <= right.ikey such that left was unmarked and
@@ -157,8 +152,6 @@ class BasicSkipListEngine {
 
   // Retire an owned tower (from EraseResult) after any trie sweep.
   void retire_owned(const EraseResult& r);
-  // Retire a single never-published or owned node.
-  void retire_node(Node_t* n);
 
   // --- Introspection (tests / benches; not linearizable snapshots) ---
   // First interior node at `level` (skips marked), nullptr when empty.
@@ -175,13 +168,6 @@ class BasicSkipListEngine {
 
  private:
   friend class BasicDescentCursor<Traits>;
-
-  enum class RaiseStatus {
-    kOk,                   // linked at this level
-    kStoppedUnpublished,   // not linked (or undone and already retired)
-    kStoppedPublished,     // top-level CAS-fallback undo: caller must
-                           // trie-sweep then retire the marked node
-  };
 
   // Kind/level/ikey screen of a search anchor; a guide (see list_search)
   // must also carry the linked bit.
@@ -204,15 +190,16 @@ class BasicSkipListEngine {
   // CAS performed the unmarked->marked transition (ownership for retiring).
   bool mark_node(Node_t* n, Node_t* back_hint);
   void set_prev_mark(Node_t* n);
-  // Raise the tower one level; stopped when claimed or a same-key node
-  // exists at the level.
-  RaiseStatus raise_level(Node_t* root, Node_t* nnode, Ikey x, uint32_t lvl,
-                          Node_t*& hint);
+  // Raise the tower one level.  Returns false, with nnode never linked,
+  // when a delete has claimed the tower or a same-key node exists at the
+  // level.
+  bool raise_level(Node_t* root, Node_t* nnode, Ikey x, uint32_t lvl,
+                   Node_t*& hint);
   // Find the tower node of `root` at `level` (walking equal-key runs);
   // nullptr if not present.
   Node_t* find_tower_node(Ikey x, Node_t* root, uint32_t level, Node_t*& left);
 
-  DcssContext ctx_;
+  EbrDomain& ebr_;
   SlabArena& arena_;
   const uint32_t top_;
   const uint64_t owner_;  // cursor-registry key (cursor.h)

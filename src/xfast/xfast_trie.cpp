@@ -42,11 +42,11 @@ constexpr uint32_t kSweepAhead = 3;
 }  // namespace
 
 template <typename Traits>
-BasicXFastTrie<Traits>::BasicXFastTrie(DcssContext ctx, Engine& engine,
+BasicXFastTrie<Traits>::BasicXFastTrie(EbrDomain& ebr, Engine& engine,
                                        uint32_t bits, SlabArena& tree_pool,
                                        SlabArena& hash_pool)
-    : ctx_(ctx), strict_ctx_{ctx.ebr, DcssMode::kDcss}, engine_(engine),
-      bits_(bits), tree_pool_(tree_pool), map_(strict_ctx_, hash_pool) {
+    : ebr_(ebr), engine_(engine), bits_(bits), tree_pool_(tree_pool),
+      map_(ebr, hash_pool) {
   assert(bits_ >= 4 && bits_ <= Traits::kMaxBits);
   assert(tree_pool_.block_size() >= sizeof(TreeNode));
   root_ = make_tree_node();
@@ -219,7 +219,7 @@ bool BasicXFastTrie<Traits>::kill_entry(Ikey p, TreeNode* tn) {
       return false;  // a side is live: the entry is not killable
     }
     if (q0 == 0) {
-      dcss(strict_ctx_, tn->ptrs[0], 0, kMark, tn->ptrs[1], 0);
+      dcss(ebr_, tn->ptrs[0], 0, kMark, tn->ptrs[1], 0);
       continue;  // re-examine: either condemned or a writer won the word
     }
     if (q1 == 0) {
@@ -229,7 +229,7 @@ bool BasicXFastTrie<Traits>::kill_entry(Ikey p, TreeNode* tn) {
     // Both sides tombstoned: dead for good.  Exactly one unlinker wins the
     // compareAndDelete and owns the retirement.
     if (map_.compare_and_delete(p, reinterpret_cast<uint64_t>(tn))) {
-      ctx_.ebr->retire(tn, &SlabArena::recycle_retired, &tree_pool_);
+      ebr_.retire(tn, &SlabArena::recycle_retired, &tree_pool_);
     }
     return true;
   }
@@ -294,8 +294,8 @@ bool BasicXFastTrie<Traits>::cover_level(Ikey p, uint32_t len, uint64_t d,
       // entry cannot die, so no liveness guard is needed here.  (An
       // unmarked candidate below ours cannot be covering anyone we would
       // strand: coverage is monotone — see DESIGN.md §3.4.)
-      const DcssResult r = dcss(strict_ctx_, tn->ptrs[d], curr,
-                                pack_ptr(node), node->next, nodeword);
+      const DcssResult r =
+          dcss(ebr_, tn->ptrs[d], curr, pack_ptr(node), node->next, nodeword);
       if (r.success) return true;
       continue;  // value or mark moved; re-read and re-check
     }
@@ -306,7 +306,7 @@ bool BasicXFastTrie<Traits>::cover_level(Ikey p, uint32_t len, uint64_t d,
     // node-unmarked guard, so compensate after the fact: if node got marked,
     // its deleter may already have swept past this prefix — run the
     // deleter's level sweep ourselves (DESIGN.md §3.5(3)).
-    const DcssResult r = dcss(strict_ctx_, tn->ptrs[d], 0, pack_ptr(node),
+    const DcssResult r = dcss(ebr_, tn->ptrs[d], 0, pack_ptr(node),
                               tn->ptrs[1 - d], other);
     if (!r.success) continue;
     if (is_marked(dcss_read(node->next))) {
@@ -366,13 +366,13 @@ void BasicXFastTrie<Traits>::sweep_level(Ikey p, uint32_t len, uint64_t d,
     if (d == 0) {
       // Swing backwards to left, guarded on left unmarked and adjacent
       // (Alg. 7 lines 13-14).
-      dcss(strict_ctx_, tn->ptrs[d], curr, pack_ptr(b.left), b.left->next,
+      dcss(ebr_, tn->ptrs[d], curr, pack_ptr(b.left), b.left->next,
            pack_ptr(b.right));
     } else {
       // Swing forwards to right, guarded on (right.prev, right.marked)
       // == (left, 0) (Alg. 7 lines 16-17).
       engine_.make_done(b.left, b.right);
-      dcss(strict_ctx_, tn->ptrs[d], curr, pack_ptr(b.right), b.right->prevw,
+      dcss(ebr_, tn->ptrs[d], curr, pack_ptr(b.right), b.right->prevw,
            pack_ptr(b.left));
     }
     curr = dcss_read(tn->ptrs[d]);

@@ -40,7 +40,7 @@ class BasicXFastTrie {
 
   // bits: B = log2(universe size), 4..Traits::kMaxBits.  tree_pool holds
   // TreeNodes, hash_pool the map's HNodes (each sized with sizeof/alignof).
-  BasicXFastTrie(DcssContext ctx, Engine& engine, uint32_t bits,
+  BasicXFastTrie(EbrDomain& ebr, Engine& engine, uint32_t bits,
                  SlabArena& tree_pool, SlabArena& hash_pool);
 
   BasicXFastTrie(const BasicXFastTrie&) = delete;
@@ -97,15 +97,7 @@ class BasicXFastTrie {
 
   TreeNode* make_tree_node();
 
-  DcssContext ctx_;  // caller's context (EBR domain; mode governs the engine)
-  // ALL trie maintenance (swings, entry life cycle, the hash table's guarded
-  // insert) uses real DCSS even under DcssMode::kCasFallback: the fallback
-  // ablation applies to the skiplist engine's structural guards, where
-  // staleness is repaired lazily — but the quiescent trie-coverage invariant
-  // (checked by validate_structure in both modes) cannot survive unguarded
-  // swings, and entry death/installation atomicity keeps writes from being
-  // lost.  See DESIGN.md §3.1 and §3.5(3).
-  DcssContext strict_ctx_;
+  EbrDomain& ebr_;
   Engine& engine_;
   const uint32_t bits_;
   SlabArena& tree_pool_;

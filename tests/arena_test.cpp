@@ -7,6 +7,16 @@
 #include <thread>
 #include <vector>
 
+// ASan and TSan stop an allocation request beyond their own size limit
+// before the allocator can return null; ArenaDeathTest needs the null to
+// reach the arena's own check.
+extern "C" const char* __asan_default_options() {
+  return "allocator_may_return_null=1";
+}
+extern "C" const char* __tsan_default_options() {
+  return "allocator_may_return_null=1";
+}
+
 namespace skiptrie {
 namespace {
 
@@ -106,6 +116,19 @@ TEST(Arena, ConcurrentAllocRecycleStress) {
   for (auto& th : ts) th.join();
   EXPECT_FALSE(failed.load());
   EXPECT_EQ(a.live_blocks(), 0);
+}
+
+// A slab no allocator can give (64-byte blocks x 2^54 = 2^60 bytes) must
+// abort with its byte count in every build, not hand out nullptr.
+// aligned_alloc fails at once, so the request touches no memory.
+TEST(ArenaDeathTest, UnallocatableSlabAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        SlabArena a(64, 64, size_t{1} << 54);
+        a.allocate();
+      },
+      "cannot allocate a slab of 1152921504606846976 bytes");
 }
 
 }  // namespace

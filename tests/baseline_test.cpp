@@ -26,6 +26,26 @@ TEST(LockFreeSkipList, BasicSemantics) {
   EXPECT_FALSE(s.erase(5));
 }
 
+TEST(LockFreeSkipList, LevelsOutsideEngineRangeThrow) {
+  // The engine only asserts its level count, and past kMaxLevels its head
+  // array overflows; the baseline checks the count in every build.
+  EXPECT_THROW({ LockFreeSkipList s(0); }, std::invalid_argument);
+  EXPECT_THROW({ LockFreeSkipList s(SkipListEngine::kMaxLevels + 1); },
+               std::invalid_argument);
+  for (const uint32_t levels : {1u, SkipListEngine::kMaxLevels}) {
+    LockFreeSkipList s(levels);
+    for (uint64_t k = 0; k < 300; k += 3) EXPECT_TRUE(s.insert(k));
+    for (uint64_t k = 0; k < 300; ++k) {
+      EXPECT_EQ(s.contains(k), k % 3 == 0) << levels << " levels, key " << k;
+    }
+    EXPECT_EQ(s.predecessor(100).value(), 99u);
+    for (uint64_t k = 0; k < 300; k += 6) EXPECT_TRUE(s.erase(k));
+    EXPECT_EQ(s.size(), 50u);
+    EXPECT_EQ(s.predecessor(100).value(), 99u);
+    EXPECT_EQ(s.predecessor(98).value(), 93u);
+  }
+}
+
 TEST(LockFreeSkipList, ModelCheck) {
   LockFreeSkipList s(16);
   std::set<uint64_t> ref;

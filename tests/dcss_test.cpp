@@ -15,15 +15,13 @@ namespace {
 class DcssTest : public ::testing::Test {
  protected:
   EbrDomain ebr_;
-  DcssContext ctx_{&ebr_, DcssMode::kDcss};
-  DcssContext cas_ctx_{&ebr_, DcssMode::kCasFallback};
 };
 
 TEST_F(DcssTest, SucceedsWhenBothMatch) {
   std::atomic<uint64_t> target{16};
   std::atomic<uint64_t> guard{256};
   EbrDomain::Guard g(ebr_);
-  const auto r = dcss(ctx_, target, 16, 32, guard, 256);
+  const auto r = dcss(ebr_, target, 16, 32, guard, 256);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(dcss_read(target), 32u);
 }
@@ -32,10 +30,9 @@ TEST_F(DcssTest, FailsOnTargetMismatch) {
   std::atomic<uint64_t> target{16};
   std::atomic<uint64_t> guard{256};
   EbrDomain::Guard g(ebr_);
-  const auto r = dcss(ctx_, target, 24, 32, guard, 256);
+  const auto r = dcss(ebr_, target, 24, 32, guard, 256);
   EXPECT_FALSE(r.success);
   EXPECT_FALSE(r.guard_failed);
-  EXPECT_EQ(r.witness, 16u);
   EXPECT_EQ(dcss_read(target), 16u);
 }
 
@@ -43,19 +40,10 @@ TEST_F(DcssTest, FailsOnGuardMismatchAndRestoresTarget) {
   std::atomic<uint64_t> target{16};
   std::atomic<uint64_t> guard{256};
   EbrDomain::Guard g(ebr_);
-  const auto r = dcss(ctx_, target, 16, 32, guard, 1000);
+  const auto r = dcss(ebr_, target, 16, 32, guard, 1000);
   EXPECT_FALSE(r.success);
   EXPECT_TRUE(r.guard_failed);
   EXPECT_EQ(dcss_read(target), 16u);  // restored, not left as descriptor
-}
-
-TEST_F(DcssTest, CasFallbackIgnoresGuard) {
-  std::atomic<uint64_t> target{16};
-  std::atomic<uint64_t> guard{256};
-  EbrDomain::Guard g(ebr_);
-  const auto r = dcss(cas_ctx_, target, 16, 32, guard, 1000);
-  EXPECT_TRUE(r.success);  // guard would have failed; fallback ignores it
-  EXPECT_EQ(dcss_read(target), 32u);
 }
 
 TEST_F(DcssTest, MarkedValuesSupported) {
@@ -64,7 +52,7 @@ TEST_F(DcssTest, MarkedValuesSupported) {
   std::atomic<uint64_t> target{16 | kMark};
   std::atomic<uint64_t> guard{0};
   EbrDomain::Guard g(ebr_);
-  const auto r = dcss(ctx_, target, 16 | kMark, 32 | kMark, guard, 0);
+  const auto r = dcss(ebr_, target, 16 | kMark, 32 | kMark, guard, 0);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(dcss_read(target), 32 | kMark);
 }
@@ -73,7 +61,7 @@ TEST_F(DcssTest, GuardEqualExpectedEqualDesiredIsNoopSuccess) {
   std::atomic<uint64_t> target{16};
   std::atomic<uint64_t> guard{8};
   EbrDomain::Guard g(ebr_);
-  const auto r = dcss(ctx_, target, 16, 16, guard, 8);
+  const auto r = dcss(ebr_, target, 16, 16, guard, 8);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(dcss_read(target), 16u);
 }
@@ -83,8 +71,8 @@ TEST_F(DcssTest, StatsCountAttemptsAndGuardFails) {
   std::atomic<uint64_t> target{16};
   std::atomic<uint64_t> guard{256};
   EbrDomain::Guard g(ebr_);
-  dcss(ctx_, target, 16, 32, guard, 256);
-  dcss(ctx_, target, 32, 48, guard, 1000);
+  dcss(ebr_, target, 16, 32, guard, 256);
+  dcss(ebr_, target, 32, 48, guard, 1000);
   EXPECT_EQ(tls_counters().dcss_attempts, 2u);
   EXPECT_EQ(tls_counters().dcss_guard_fails, 1u);
   tls_counters() = StepCounters{};
@@ -105,7 +93,7 @@ TEST_F(DcssTest, ConcurrentDisjointGuardsAllSucceedOnce) {
         EbrDomain::Guard g(ebr_);
         for (;;) {
           const uint64_t cur = dcss_read(target);
-          const auto r = dcss(ctx_, target, cur, cur + 4, guard, 8);
+          const auto r = dcss(ebr_, target, cur, cur + 4, guard, 8);
           if (r.success) {
             successes.fetch_add(1);
             break;
@@ -133,7 +121,7 @@ TEST_F(DcssTest, GuardFlipsConcurrently) {
   for (int i = 0; i < 20000; ++i) {
     EbrDomain::Guard g(ebr_);
     const uint64_t cur = dcss_read(target);
-    const auto r = dcss(ctx_, target, cur, cur + 4, guard, 0);
+    const auto r = dcss(ebr_, target, cur, cur + 4, guard, 0);
     if (r.success) ok++;
   }
   stop.store(true);
@@ -157,7 +145,7 @@ TEST_F(DcssTest, ReadersHelpInstalledDescriptors) {
   for (int i = 0; i < 30000; ++i) {
     EbrDomain::Guard g(ebr_);
     const uint64_t cur = dcss_read(target);
-    dcss(ctx_, target, cur, cur + 4, guard, 0);
+    dcss(ebr_, target, cur, cur + 4, guard, 0);
   }
   stop.store(true);
   reader.join();
@@ -174,14 +162,14 @@ TEST_F(DcssTest, GuardOnDcssTargetWordReadsThrough) {
     while (!stop.load()) {
       EbrDomain::Guard g(ebr_);
       const uint64_t cur = dcss_read(a);
-      dcss(ctx_, a, cur, cur + 4, b, dcss_read(b));
+      dcss(ebr_, a, cur, cur + 4, b, dcss_read(b));
     }
   });
   std::thread t2([&] {
     while (!stop.load()) {
       EbrDomain::Guard g(ebr_);
       const uint64_t cur = dcss_read(b);
-      dcss(ctx_, b, cur, cur + 4, a, dcss_read(a));
+      dcss(ebr_, b, cur, cur + 4, a, dcss_read(a));
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
@@ -212,12 +200,12 @@ TEST_F(DcssTest, CrossedGuardsNeverBothSucceed) {
     std::thread t1([&] {
       EbrDomain::Guard g(ebr_);
       bar.arrive_and_wait();
-      ra = dcss(ctx_, a, 0, 8, b, 0);
+      ra = dcss(ebr_, a, 0, 8, b, 0);
     });
     std::thread t2([&] {
       EbrDomain::Guard g(ebr_);
       bar.arrive_and_wait();
-      rb = dcss(ctx_, b, 0, 16, a, 0);
+      rb = dcss(ebr_, b, 0, 16, a, 0);
     });
     t1.join();
     t2.join();

@@ -18,22 +18,19 @@
 namespace skiptrie {
 namespace {
 
-class EngineConcurrent : public ::testing::TestWithParam<DcssMode> {
+class EngineConcurrent : public ::testing::Test {
  protected:
   EngineConcurrent()
-      : arena_(sizeof(Node), kCacheLine, 4096),
-        ctx_{&ebr_, GetParam()},
-        eng_(ctx_, arena_, 3) {}
+      : arena_(sizeof(Node), kCacheLine, 4096), eng_(ebr_, arena_, 3) {}
 
   static uint64_t ik(uint64_t k) { return k + 1; }
 
   SlabArena arena_;
   EbrDomain ebr_;
-  DcssContext ctx_;
   SkipListEngine eng_;
 };
 
-TEST_P(EngineConcurrent, InsertEraseSameKeySingleWinnerEachRound) {
+TEST_F(EngineConcurrent, InsertEraseSameKeySingleWinnerEachRound) {
   for (int round = 0; round < 150; ++round) {
     std::atomic<int> ins_wins{0};
     SpinBarrier barrier(4);
@@ -55,31 +52,35 @@ TEST_P(EngineConcurrent, InsertEraseSameKeySingleWinnerEachRound) {
   }
 }
 
-TEST_P(EngineConcurrent, RaisersVsDeletersNeverStrandTowers) {
-  // Writers insert full-height towers while deleters chase them; at the
-  // end every level must be empty (no orphaned tower nodes), in both DCSS
-  // and CAS-fallback modes (the fallback exercises the undo path).
+TEST_F(EngineConcurrent, RaisersVsDeletersNeverStrandTowers) {
+  // Two inserters raise full-height towers while two deleters claim them,
+  // all over the same 64 keys.  A delete sweeps the tower top-down once
+  // after its claim, which finds every tower node only because no raise
+  // can link after the claim; a link that did would stay behind as a
+  // stranded node, so at the end every level must be empty.
   const int kKeys = 64;
   std::atomic<bool> stop{false};
-  std::thread inserter([&] {
-    Xoshiro256 rng(1);
-    while (!stop.load(std::memory_order_acquire)) {
-      EbrDomain::Guard g(ebr_);
-      eng_.insert(ik(rng.next_below(kKeys)), eng_.head(3), 3);
-    }
-  });
-  std::thread deleter([&] {
-    Xoshiro256 rng(2);
-    while (!stop.load(std::memory_order_acquire)) {
-      EbrDomain::Guard g(ebr_);
-      auto r = eng_.erase(ik(rng.next_below(kKeys)), eng_.head(3));
-      if (r.erased) eng_.retire_owned(r);
-    }
-  });
+  std::vector<std::thread> ts;
+  for (uint64_t w = 0; w < 2; ++w) {
+    ts.emplace_back([&, w] {
+      Xoshiro256 rng(1 + w);
+      while (!stop.load(std::memory_order_acquire)) {
+        EbrDomain::Guard g(ebr_);
+        eng_.insert(ik(rng.next_below(kKeys)), eng_.head(3), 3);
+      }
+    });
+    ts.emplace_back([&, w] {
+      Xoshiro256 rng(11 + w);
+      while (!stop.load(std::memory_order_acquire)) {
+        EbrDomain::Guard g(ebr_);
+        auto r = eng_.erase(ik(rng.next_below(kKeys)), eng_.head(3));
+        if (r.erased) eng_.retire_owned(r);
+      }
+    });
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   stop.store(true, std::memory_order_release);
-  inserter.join();
-  deleter.join();
+  for (auto& th : ts) th.join();
 
   // Drain the survivors.
   EbrDomain::Guard g(ebr_);
@@ -92,7 +93,7 @@ TEST_P(EngineConcurrent, RaisersVsDeletersNeverStrandTowers) {
   }
 }
 
-TEST_P(EngineConcurrent, TraversalsDuringChurnStayBracketed) {
+TEST_F(EngineConcurrent, TraversalsDuringChurnStayBracketed) {
   std::atomic<bool> stop{false};
   // Anchors at multiples of 1000 are immutable.
   {
@@ -128,7 +129,7 @@ TEST_P(EngineConcurrent, TraversalsDuringChurnStayBracketed) {
   churn.join();
 }
 
-TEST_P(EngineConcurrent, DisjointRangesExactUnderParallelism) {
+TEST_F(EngineConcurrent, DisjointRangesExactUnderParallelism) {
   SpinBarrier barrier(4);
   std::vector<std::thread> ts;
   for (int w = 0; w < 4; ++w) {
@@ -168,11 +169,10 @@ TEST_P(EngineConcurrent, DisjointRangesExactUnderParallelism) {
 TEST(RegistryAliasingTest, CursorsStayDistinctAndStableAcrossManyOwners) {
   SlabArena arena(sizeof(Node), kCacheLine, 1024);
   EbrDomain ebr;
-  DcssContext ctx{&ebr, DcssMode::kDcss};
   constexpr int kEngines = 8;
   std::vector<std::unique_ptr<SkipListEngine>> engines;
   for (int i = 0; i < kEngines; ++i) {
-    engines.push_back(std::make_unique<SkipListEngine>(ctx, arena, 3));
+    engines.push_back(std::make_unique<SkipListEngine>(ebr, arena, 3));
   }
   std::thread probe([&] {
     DescentCursor* cursors[kEngines];
@@ -201,10 +201,9 @@ TEST(RegistryAliasingTest, DeadOwnersAreSweptFromTheRegistry) {
     {
       SlabArena arena(sizeof(Node), kCacheLine, 2048);
       EbrDomain ebr;
-      DcssContext ctx{&ebr, DcssMode::kDcss};
       std::vector<std::unique_ptr<SkipListEngine>> engines;
       for (int i = 0; i < 6; ++i) {
-        engines.push_back(std::make_unique<SkipListEngine>(ctx, arena, 3));
+        engines.push_back(std::make_unique<SkipListEngine>(ebr, arena, 3));
         engines.back()->cursor();
       }
       EXPECT_EQ(tls_cursor_registry_size(), c0 + 6);
@@ -215,15 +214,6 @@ TEST(RegistryAliasingTest, DeadOwnersAreSweptFromTheRegistry) {
   });
   probe.join();
 }
-
-INSTANTIATE_TEST_SUITE_P(BothModes, EngineConcurrent,
-                         ::testing::Values(DcssMode::kDcss,
-                                           DcssMode::kCasFallback),
-                         [](const auto& info) {
-                           return info.param == DcssMode::kDcss
-                                      ? "Dcss"
-                                      : "CasFallback";
-                         });
 
 }  // namespace
 }  // namespace skiptrie

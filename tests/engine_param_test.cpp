@@ -1,10 +1,10 @@
 // Parameterized engine sweeps: the same tower/list invariants must hold for
 // every truncation height (the SkipTrie uses 3..7 levels, the baseline up
-// to ~40), for both synchronization modes, and — since the key-traits
-// refactor (DESIGN.md §6) — for both shipped key universes.  The sweeps are
-// TYPED_TESTs over {U64Traits, Bytes16Traits}; each test iterates the
-// (top, mode) grid internally.  The 128-bit ikeys are spread across both
-// machine words so the comparisons genuinely exercise wide arithmetic.
+// to ~40) and — since the key-traits refactor (DESIGN.md §6) — for both
+// shipped key universes.  The sweeps are TYPED_TESTs over
+// {U64Traits, Bytes16Traits}; each test iterates the heights internally.
+// The 128-bit ikeys are spread across both machine words so the
+// comparisons genuinely exercise wide arithmetic.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -18,7 +18,6 @@ namespace skiptrie {
 namespace {
 
 constexpr uint32_t kTops[] = {1u, 2u, 3u, 5u, 6u, 10u, 20u};
-constexpr DcssMode kModes[] = {DcssMode::kDcss, DcssMode::kCasFallback};
 
 template <typename Traits>
 class EngineSweep : public ::testing::Test {
@@ -30,12 +29,9 @@ class EngineSweep : public ::testing::Test {
   struct Rig {
     SlabArena arena;
     EbrDomain ebr;
-    DcssContext ctx;
     Engine eng;
-    Rig(uint32_t top, DcssMode mode)
-        : arena(sizeof(Node_t), kCacheLine, 1024),
-          ctx{&ebr, mode},
-          eng(ctx, arena, top) {}
+    explicit Rig(uint32_t top)
+        : arena(sizeof(Node_t), kCacheLine, 1024), eng(ebr, arena, top) {}
   };
 
   // Strictly monotone key -> ikey embedding.  For the wide universe the
@@ -56,15 +52,13 @@ TYPED_TEST_SUITE(EngineSweep, SweepTraits);
 TYPED_TEST(EngineSweep, FullHeightTowerSpansAllLevels) {
   using Fix = EngineSweep<TypeParam>;
   for (const uint32_t top : kTops) {
-    for (const DcssMode mode : kModes) {
-      typename Fix::Rig r(top, mode);
-      EbrDomain::Guard g(r.ebr);
-      ASSERT_TRUE(r.eng.insert(Fix::ik(42), r.eng.head(top), top).inserted);
-      for (uint32_t l = 0; l <= top; ++l) {
-        auto* n = r.eng.first_at(l);
-        ASSERT_NE(n, nullptr) << "top " << top << " level " << l;
-        EXPECT_TRUE(n->ikey() == Fix::ik(42));
-      }
+    typename Fix::Rig r(top);
+    EbrDomain::Guard g(r.ebr);
+    ASSERT_TRUE(r.eng.insert(Fix::ik(42), r.eng.head(top), top).inserted);
+    for (uint32_t l = 0; l <= top; ++l) {
+      auto* n = r.eng.first_at(l);
+      ASSERT_NE(n, nullptr) << "top " << top << " level " << l;
+      EXPECT_TRUE(n->ikey() == Fix::ik(42));
     }
   }
 }
@@ -72,20 +66,18 @@ TYPED_TEST(EngineSweep, FullHeightTowerSpansAllLevels) {
 TYPED_TEST(EngineSweep, EraseAtEveryHeightCleansAllLevels) {
   using Fix = EngineSweep<TypeParam>;
   for (const uint32_t top : kTops) {
-    for (const DcssMode mode : kModes) {
-      typename Fix::Rig r(top, mode);
-      EbrDomain::Guard g(r.ebr);
-      for (uint32_t h = 0; h <= top; ++h) {
-        const uint64_t key = 100 + h;
-        ASSERT_TRUE(r.eng.insert(Fix::ik(key), r.eng.head(top), h).inserted);
-        auto res = r.eng.erase(Fix::ik(key), r.eng.head(top));
-        ASSERT_TRUE(res.erased) << "top " << top << " height " << h;
-        EXPECT_EQ(res.top != nullptr, h == top) << "height " << h;
-        r.eng.retire_owned(res);
-        for (uint32_t l = 0; l <= top; ++l) {
-          EXPECT_EQ(r.eng.first_at(l), nullptr)
-              << "top " << top << " h=" << h << " level " << l;
-        }
+    typename Fix::Rig r(top);
+    EbrDomain::Guard g(r.ebr);
+    for (uint32_t h = 0; h <= top; ++h) {
+      const uint64_t key = 100 + h;
+      ASSERT_TRUE(r.eng.insert(Fix::ik(key), r.eng.head(top), h).inserted);
+      auto res = r.eng.erase(Fix::ik(key), r.eng.head(top));
+      ASSERT_TRUE(res.erased) << "top " << top << " height " << h;
+      EXPECT_EQ(res.top != nullptr, h == top) << "height " << h;
+      r.eng.retire_owned(res);
+      for (uint32_t l = 0; l <= top; ++l) {
+        EXPECT_EQ(r.eng.first_at(l), nullptr)
+            << "top " << top << " h=" << h << " level " << l;
       }
     }
   }
@@ -94,68 +86,64 @@ TYPED_TEST(EngineSweep, EraseAtEveryHeightCleansAllLevels) {
 TYPED_TEST(EngineSweep, InterleavedChurnMatchesReference) {
   using Fix = EngineSweep<TypeParam>;
   for (const uint32_t top : kTops) {
-    for (const DcssMode mode : kModes) {
-      typename Fix::Rig r(top, mode);
-      EbrDomain::Guard g(r.ebr);
-      Xoshiro256 rng(top * 7 + 1);
-      std::set<uint64_t> ref;
-      for (int i = 0; i < 1500; ++i) {
-        const uint64_t k = rng.next_below(128);
-        if (rng.next() & 1) {
-          const bool ours =
-              r.eng.insert(Fix::ik(k), r.eng.head(top),
-                           rng.geometric_height(top))
-                  .inserted;
-          ASSERT_EQ(ours, ref.insert(k).second);
-        } else {
-          auto res = r.eng.erase(Fix::ik(k), r.eng.head(top));
-          ASSERT_EQ(res.erased, ref.erase(k) > 0);
-          if (res.erased) r.eng.retire_owned(res);
-        }
+    typename Fix::Rig r(top);
+    EbrDomain::Guard g(r.ebr);
+    Xoshiro256 rng(top * 7 + 1);
+    std::set<uint64_t> ref;
+    for (int i = 0; i < 1500; ++i) {
+      const uint64_t k = rng.next_below(128);
+      if (rng.next() & 1) {
+        const bool ours =
+            r.eng.insert(Fix::ik(k), r.eng.head(top),
+                         rng.geometric_height(top))
+                .inserted;
+        ASSERT_EQ(ours, ref.insert(k).second);
+      } else {
+        auto res = r.eng.erase(Fix::ik(k), r.eng.head(top));
+        ASSERT_EQ(res.erased, ref.erase(k) > 0);
+        if (res.erased) r.eng.retire_owned(res);
       }
-      size_t count = 0;
-      for (auto* n = r.eng.first_at(0); n != nullptr; n = r.eng.next_at(n)) {
-        ++count;
-      }
-      EXPECT_EQ(count, ref.size()) << "top " << top;
     }
+    size_t count = 0;
+    for (auto* n = r.eng.first_at(0); n != nullptr; n = r.eng.next_at(n)) {
+      ++count;
+    }
+    EXPECT_EQ(count, ref.size()) << "top " << top;
   }
 }
 
 TYPED_TEST(EngineSweep, BracketsAlwaysSortedAndTight) {
   using Fix = EngineSweep<TypeParam>;
   for (const uint32_t top : kTops) {
-    for (const DcssMode mode : kModes) {
-      typename Fix::Rig r(top, mode);
-      EbrDomain::Guard g(r.ebr);
-      Xoshiro256 rng(9);
-      std::set<uint64_t> ref;
-      for (int i = 0; i < 500; ++i) {
-        const uint64_t k = rng.next_below(100000);
-        if (ref.insert(k).second) {
-          ASSERT_TRUE(r.eng
-                          .insert(Fix::ik(k), r.eng.head(top),
-                                  rng.geometric_height(top))
-                          .inserted);
-        }
+    typename Fix::Rig r(top);
+    EbrDomain::Guard g(r.ebr);
+    Xoshiro256 rng(9);
+    std::set<uint64_t> ref;
+    for (int i = 0; i < 500; ++i) {
+      const uint64_t k = rng.next_below(100000);
+      if (ref.insert(k).second) {
+        ASSERT_TRUE(r.eng
+                        .insert(Fix::ik(k), r.eng.head(top),
+                                rng.geometric_height(top))
+                        .inserted);
       }
-      for (int i = 0; i < 500; ++i) {
-        const uint64_t q = rng.next_below(100000);
-        const auto b = r.eng.descend(Fix::ik(q), r.eng.head(top));
-        // left < ik(q) <= right, and they are adjacent in the reference too.
-        EXPECT_TRUE(b.left->ikey() < Fix::ik(q));
-        EXPECT_TRUE(b.right->ikey() >= Fix::ik(q));
-        auto it = ref.lower_bound(q);
-        if (it == ref.begin()) {
-          EXPECT_EQ(b.left->kind(), NodeKind::kHead);
-        } else {
-          EXPECT_TRUE(b.left->ikey() == Fix::ik(*std::prev(it)));
-        }
-        if (it == ref.end()) {
-          EXPECT_EQ(b.right->kind(), NodeKind::kTail);
-        } else {
-          EXPECT_TRUE(b.right->ikey() == Fix::ik(*it));
-        }
+    }
+    for (int i = 0; i < 500; ++i) {
+      const uint64_t q = rng.next_below(100000);
+      const auto b = r.eng.descend(Fix::ik(q), r.eng.head(top));
+      // left < ik(q) <= right, and they are adjacent in the reference too.
+      EXPECT_TRUE(b.left->ikey() < Fix::ik(q));
+      EXPECT_TRUE(b.right->ikey() >= Fix::ik(q));
+      auto it = ref.lower_bound(q);
+      if (it == ref.begin()) {
+        EXPECT_EQ(b.left->kind(), NodeKind::kHead);
+      } else {
+        EXPECT_TRUE(b.left->ikey() == Fix::ik(*std::prev(it)));
+      }
+      if (it == ref.end()) {
+        EXPECT_EQ(b.right->kind(), NodeKind::kTail);
+      } else {
+        EXPECT_TRUE(b.right->ikey() == Fix::ik(*it));
       }
     }
   }
@@ -167,12 +155,9 @@ TYPED_TEST(EngineSweep, BracketsAlwaysSortedAndTight) {
 class GuideHardening : public ::testing::Test {
  protected:
   GuideHardening()
-      : arena_(sizeof(Node), kCacheLine, 256),
-        ctx_{&ebr_, DcssMode::kDcss},
-        eng_(ctx_, arena_, 3) {}
+      : arena_(sizeof(Node), kCacheLine, 256), eng_(ebr_, arena_, 3) {}
   SlabArena arena_;
   EbrDomain ebr_;
-  DcssContext ctx_;
   SkipListEngine eng_;
 };
 

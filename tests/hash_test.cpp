@@ -22,11 +22,10 @@ class HashTest : public ::testing::Test {
   SlabArena pool_{sizeof(SplitOrderedMap::HNode),
                   alignof(SplitOrderedMap::HNode)};
   EbrDomain ebr_;
-  DcssContext ctx_{&ebr_, DcssMode::kDcss};
 };
 
 TEST_F(HashTest, InsertLookup) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   EXPECT_TRUE(m.insert(1, 100));
   EXPECT_TRUE(m.insert(2, 200));
   EXPECT_EQ(m.lookup(1).value_or(0), 100u);
@@ -36,7 +35,7 @@ TEST_F(HashTest, InsertLookup) {
 }
 
 TEST_F(HashTest, DuplicateInsertRejected) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   EXPECT_TRUE(m.insert(5, 1));
   EXPECT_FALSE(m.insert(5, 2));
   EXPECT_EQ(m.lookup(5).value_or(0), 1u);  // original value kept
@@ -44,7 +43,7 @@ TEST_F(HashTest, DuplicateInsertRejected) {
 }
 
 TEST_F(HashTest, EraseReturnsValue) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   m.insert(9, 90);
   EXPECT_EQ(m.erase(9).value_or(0), 90u);
   EXPECT_FALSE(m.lookup(9).has_value());
@@ -53,7 +52,7 @@ TEST_F(HashTest, EraseReturnsValue) {
 }
 
 TEST_F(HashTest, ReinsertAfterErase) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   m.insert(9, 90);
   m.erase(9);
   EXPECT_TRUE(m.insert(9, 91));
@@ -61,7 +60,7 @@ TEST_F(HashTest, ReinsertAfterErase) {
 }
 
 TEST_F(HashTest, CompareAndDeleteMatchesValue) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   m.insert(7, 70);
   EXPECT_FALSE(m.compare_and_delete(7, 71));  // wrong value
   EXPECT_TRUE(m.lookup(7).has_value());
@@ -71,7 +70,7 @@ TEST_F(HashTest, CompareAndDeleteMatchesValue) {
 }
 
 TEST_F(HashTest, GuardedInsertSucceedsWhenGuardHolds) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   std::atomic<uint64_t> guard{0x40};
   bool guard_failed = false;
   EbrDomain::Guard g(ebr_);
@@ -81,7 +80,7 @@ TEST_F(HashTest, GuardedInsertSucceedsWhenGuardHolds) {
 }
 
 TEST_F(HashTest, GuardedInsertFailsWhenGuardMismatches) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   std::atomic<uint64_t> guard{0x40};
   bool guard_failed = false;
   EbrDomain::Guard g(ebr_);
@@ -93,7 +92,7 @@ TEST_F(HashTest, GuardedInsertFailsWhenGuardMismatches) {
 TEST_F(HashTest, GuardedInsertWithMarkedGuard) {
   // Mirrors the trie's usage: guard on a node's next word being an exact
   // unmarked value; a marked word must abort the insert.
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   std::atomic<uint64_t> next_word{0x1000};
   EbrDomain::Guard g(ebr_);
   EXPECT_TRUE(m.insert(1, 10, &next_word, 0x1000, nullptr));
@@ -104,7 +103,7 @@ TEST_F(HashTest, GuardedInsertWithMarkedGuard) {
 }
 
 TEST_F(HashTest, GrowsPastInitialBuckets) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   const size_t n = 5000;
   for (uint64_t i = 0; i < n; ++i) EXPECT_TRUE(m.insert(i, i * 2));
   EXPECT_GT(m.bucket_count(), 2u);
@@ -116,7 +115,7 @@ TEST_F(HashTest, GrowsPastInitialBuckets) {
 
 TEST_F(HashTest, AdversarialKeysSameLowBits) {
   // Keys colliding in the initial buckets must still be found after splits.
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   for (uint64_t i = 0; i < 512; ++i) EXPECT_TRUE(m.insert(i << 20, i));
   for (uint64_t i = 0; i < 512; ++i) {
     ASSERT_EQ(m.lookup(i << 20).value_or(~0ull), i);
@@ -124,7 +123,7 @@ TEST_F(HashTest, AdversarialKeysSameLowBits) {
 }
 
 TEST_F(HashTest, ForEachVisitsLiveEntriesOnly) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   for (uint64_t i = 0; i < 100; ++i) m.insert(i, i);
   for (uint64_t i = 0; i < 100; i += 2) m.erase(i);
   std::set<uint64_t> seen;
@@ -134,14 +133,14 @@ TEST_F(HashTest, ForEachVisitsLiveEntriesOnly) {
 }
 
 TEST_F(HashTest, ApproxBytesGrowsWithContent) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   const size_t empty = m.approx_bytes();
   for (uint64_t i = 0; i < 1000; ++i) m.insert(i, i);
   EXPECT_GT(m.approx_bytes(), empty + 900 * sizeof(SplitOrderedMap::HNode));
 }
 
 TEST_F(HashTest, ConcurrentDisjointInserts) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   const int kThreads = 4;
   const uint64_t kPer = 10000;
   std::vector<std::thread> ts;
@@ -161,7 +160,7 @@ TEST_F(HashTest, ConcurrentDisjointInserts) {
 }
 
 TEST_F(HashTest, ConcurrentSameKeyInsertExactlyOneWins) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   for (int round = 0; round < 200; ++round) {
     std::atomic<int> wins{0};
     std::vector<std::thread> ts;
@@ -176,7 +175,7 @@ TEST_F(HashTest, ConcurrentSameKeyInsertExactlyOneWins) {
 }
 
 TEST_F(HashTest, ConcurrentInsertEraseMixedStress) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   const int kThreads = 4;
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t) {
@@ -208,7 +207,7 @@ TEST_F(HashTest, GrowthReachesLoadFactorTarget) {
   // The contract now is that after any insert the table satisfies
   // count <= buckets * kLoadFactor (up to kMaxBuckets) — the smallest such
   // power of two, i.e. it neither lags the load target nor overshoots it.
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   const size_t n = 3000;
   for (size_t i = 0; i < n; ++i) m.insert(i * 2 + 1, i);
   EXPECT_EQ(m.size(), n);
@@ -224,7 +223,7 @@ TEST_F(HashTest, GrowthKeepsLoadFactorPastTwoToTheTwenty) {
   // Growth stops only at the directory's geometry (2^22 buckets), so a
   // table past 2^20 entries still keeps every x-fast probe's chain at the
   // kLoadFactor target.  A cap at 2^20 buckets fails both checks below.
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   const size_t n = (size_t{1} << 20) + 1;
   for (size_t i = 0; i < n; ++i) m.insert(i * 2 + 1, i);
   EXPECT_EQ(m.size(), n);
@@ -238,7 +237,7 @@ TEST_F(HashTest, LookupInitializesBucketsAndStaysChainLocal) {
   // between the nearest initialized ancestor's dummy and the target bucket.
   // Now the first lookup initializes the bucket (bounded one-time work) and
   // every subsequent lookup walks only the bucket-local chain.
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   const size_t n = 2000;
   Xoshiro256 rng(7);
   std::vector<uint64_t> keys;
@@ -273,7 +272,7 @@ TEST_F(HashTest, LookupInitializesBucketsAndStaysChainLocal) {
 }
 
 TEST_F(HashTest, ConcurrentCompareAndDeleteUniqueWinner) {
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   for (int round = 0; round < 100; ++round) {
     m.insert(round, 7);
     std::atomic<int> wins{0};
@@ -297,7 +296,7 @@ TEST_F(HashTest, PrefetchIsHintOnly) {
   // stage must leave the table and the thread's counters exactly as they
   // were; a prefetch routed through bucket_head would allocate those
   // segments and splice their dummies, as the lookups at the end do.
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   const uint64_t n = 2049;
   for (uint64_t i = 0; i < n; ++i) ASSERT_TRUE(m.insert(i, i));
   ASSERT_EQ(m.bucket_count(), 4096u);
@@ -336,7 +335,7 @@ TEST_F(HashTest, ConcurrentPrefetchDuringUpdatesAndGrowth) {
   // ThreadSanitizer this checks that every load the hint makes is ordered
   // after the writes that publish what it reads.  The hint adds nothing:
   // the table must stay self-consistent.
-  SplitOrderedMap m(ctx_, pool_);
+  SplitOrderedMap m(ebr_, pool_);
   const uint64_t kKeys = 1u << 14;
   std::atomic<bool> stop{false};
   std::vector<std::thread> prefetchers;

@@ -20,10 +20,9 @@
 namespace skiptrie {
 namespace {
 
-Config cfg(uint32_t bits, DcssMode mode = DcssMode::kDcss) {
+Config cfg(uint32_t bits) {
   Config c;
   c.universe_bits = bits;
-  c.dcss_mode = mode;
   return c;
 }
 
@@ -175,11 +174,8 @@ TEST(SkipTrieConcurrent, QueriesDuringChurnReturnSaneAnswers) {
   EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
 }
 
-class ConcurrentModePressure
-    : public ::testing::TestWithParam<DcssMode> {};
-
-TEST_P(ConcurrentModePressure, MixedChurnKeepsInvariants) {
-  SkipTrie t(cfg(24, GetParam()));
+TEST(SkipTrieConcurrent, MixedChurnKeepsInvariants) {
+  SkipTrie t(cfg(24));
   const unsigned kThreads = worker_count();
   std::vector<std::thread> ts;
   for (unsigned w = 0; w < kThreads; ++w) {
@@ -206,14 +202,6 @@ TEST_P(ConcurrentModePressure, MixedChurnKeepsInvariants) {
   EXPECT_TRUE(t.contains(99999));
   EXPECT_EQ(t.predecessor(99999).value(), 99999u);
 }
-
-INSTANTIATE_TEST_SUITE_P(BothModes, ConcurrentModePressure,
-                         ::testing::Values(DcssMode::kDcss,
-                                           DcssMode::kCasFallback),
-                         [](const auto& info) {
-                           return info.param == DcssMode::kDcss ? "Dcss"
-                                                                : "CasFallback";
-                         });
 
 TEST(SkipTrieConcurrent, TeardownRunsParkedThreadsRecycles) {
   // A thread that erased top-level keys and then parked, alive and

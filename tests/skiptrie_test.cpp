@@ -190,24 +190,6 @@ TEST(SkipTrie, StructureStatsSaneAfterFill) {
   EXPECT_GT(s.arena_bytes, n * sizeof(Node) / 2);
 }
 
-TEST(SkipTrie, CasFallbackModeFullSemantics) {
-  Config c = small_cfg();
-  c.dcss_mode = DcssMode::kCasFallback;
-  SkipTrie t(c);
-  std::set<uint64_t> ref;
-  Xoshiro256 rng(31);
-  for (int i = 0; i < 10000; ++i) {
-    const uint64_t k = rng.next_below(1u << 10);
-    if (rng.next() & 1) {
-      ASSERT_EQ(t.insert(k), ref.insert(k).second);
-    } else {
-      ASSERT_EQ(t.erase(k), ref.erase(k) > 0);
-    }
-  }
-  const auto errors = validate_structure(t);
-  EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
-}
-
 TEST(SkipTrie, UniverseBits64) {
   Config c = small_cfg(64);
   SkipTrie t(c);

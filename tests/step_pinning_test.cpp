@@ -9,7 +9,14 @@
 // different gallop seed, an extra restart — fails loudly with the
 // counter-by-counter diff.
 //
-// Provenance: the goldens were re-captured by this harness when a
+// Provenance: the erase rows' node_hops were last re-pinned when erase
+// stopped repeating its top-down tower sweep until a pass found nothing
+// (a second pass existed only for the deleted plain-CAS mode, whose raises
+// could link after a claim).  The second pass walked each level again and
+// found nothing, so only node_hops moved, and only down: 23435 -> 20870 at
+// B = 32 and 27342 -> 24156 at B = 64.  Every other counter of the erase
+// rows and the insert, read and batch rows reproduced unedited.  Before
+// that, the goldens were re-captured by this harness when a
 // top-level insert began repairing its successor's prev guide
 // (DESIGN.md §3.5(7)) and walk_left began rejecting nodes below the top
 // level.  Against the previous goldens only node_hops, dcss_attempts,
@@ -76,13 +83,13 @@ struct PhaseGoldens {
 constexpr PhaseGoldens kBits32 = {
     {23069, 17809, 0, 1156, 1755, 3452, 4044, 2176, 0, 0, 0},
     {64635, 33019, 0, 3047, 0, 402, 0, 0, 0, 0, 0},
-    {23435, 7770, 0, 500, 925, 7844, 1979, 1184, 0, 0, 2017},
+    {20870, 7770, 0, 500, 925, 7844, 1979, 1184, 0, 0, 2017},
     {19269, 2796, 0, 39, 806, 1039, 1893, 1024, 0, 4800, 0},
 };
 constexpr PhaseGoldens kBits64 = {
     {27230, 17399, 0, 1097, 2009, 3480, 4205, 2176, 0, 0, 0},
     {76280, 33017, 0, 3970, 0, 345, 0, 0, 0, 0, 0},
-    {27342, 8353, 0, 666, 1046, 8404, 2156, 1152, 0, 0, 2070},
+    {24156, 8353, 0, 666, 1046, 8404, 2156, 1152, 0, 0, 2070},
     {19440, 3847, 0, 41, 1100, 1139, 2197, 1216, 0, 4854, 0},
 };
 

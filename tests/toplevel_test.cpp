@@ -14,8 +14,7 @@ class TopLevelTest : public ::testing::Test {
  protected:
   TopLevelTest()
       : arena_(sizeof(Node), kCacheLine, 1024),
-        ctx_{&ebr_, DcssMode::kDcss},
-        eng_(ctx_, arena_, 2) {}  // small engine; top level = 2
+        eng_(ebr_, arena_, 2) {}  // small engine; top level = 2
 
   static uint64_t ik(uint64_t k) { return k + 1; }
 
@@ -36,7 +35,6 @@ class TopLevelTest : public ::testing::Test {
 
   SlabArena arena_;
   EbrDomain ebr_;
-  DcssContext ctx_;
   SkipListEngine eng_;
 };
 

@@ -109,23 +109,5 @@ TEST(Validate, DetectsMissingPrefixCoverage) {
   // with the structure.
 }
 
-TEST(Validate, AcceptsBothDcssModesAfterChurn) {
-  for (const DcssMode mode : {DcssMode::kDcss, DcssMode::kCasFallback}) {
-    Config c = cfg();
-    c.dcss_mode = mode;
-    SkipTrie t(c);
-    Xoshiro256 rng(7);
-    for (int i = 0; i < 4000; ++i) {
-      const uint64_t k = rng.next_below(2048);
-      if (rng.next() & 1) {
-        t.insert(k);
-      } else {
-        t.erase(k);
-      }
-    }
-    EXPECT_TRUE(validate_structure(t).empty());
-  }
-}
-
 }  // namespace
 }  // namespace skiptrie

@@ -22,13 +22,12 @@
 namespace skiptrie {
 namespace {
 
-void churn_rounds(DcssMode mode, int rounds, uint64_t seed_base) {
+void churn_rounds(int rounds, uint64_t seed_base) {
   const unsigned hw = std::thread::hardware_concurrency();
   const unsigned kThreads = hw >= 4 ? 4 : (hw >= 2 ? hw : 2);
   for (int round = 0; round < rounds; ++round) {
     Config c;
     c.universe_bits = 24;
-    c.dcss_mode = mode;
     c.seed = seed_base + round * 977 + 1;
     SkipTrie t(c);
     std::vector<std::thread> ts;
@@ -53,12 +52,8 @@ void churn_rounds(DcssMode mode, int rounds, uint64_t seed_base) {
   }
 }
 
-TEST(XFastChurn, CoverageSurvivesReinsertChurnDcss) {
-  churn_rounds(DcssMode::kDcss, 25, 0);
-}
-
-TEST(XFastChurn, CoverageSurvivesReinsertChurnCasFallback) {
-  churn_rounds(DcssMode::kCasFallback, 25, 50000);
+TEST(XFastChurn, CoverageSurvivesReinsertChurn) {
+  churn_rounds(25, 0);
 }
 
 }  // namespace

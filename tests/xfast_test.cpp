@@ -27,9 +27,8 @@ class XFastTest : public ::testing::Test {
       : arena_(sizeof(Node_t), kCacheLine, 1024),
         tree_pool_(sizeof(TreeNode), alignof(TreeNode)),
         hash_pool_(sizeof(HNode), alignof(HNode)),
-        ctx_{&ebr_, DcssMode::kDcss},
-        eng_(ctx_, arena_, ceil_log2(kBits)),
-        trie_(ctx_, eng_, kBits, tree_pool_, hash_pool_) {}
+        eng_(ebr_, arena_, ceil_log2(kBits)),
+        trie_(ebr_, eng_, kBits, tree_pool_, hash_pool_) {}
 
   static Ikey ik(uint64_t k) { return Ikey(k + 1); }
 
@@ -59,7 +58,6 @@ class XFastTest : public ::testing::Test {
   SlabArena tree_pool_;
   SlabArena hash_pool_;
   EbrDomain ebr_;
-  DcssContext ctx_;
   BasicSkipListEngine<Traits> eng_;
   BasicXFastTrie<Traits> trie_;
 };

@@ -3,7 +3,7 @@
 //   skiptrie_cli [--bits B] [--threads N] [--ops N] [--prefill N]
 //                [--space N] [--mix read|read-heavy|balanced|write-heavy]
 //                [--dist uniform|zipf|clustered|sequential]
-//                [--mode dcss|cas] [--seed S] [--batch N] [--validate]
+//                [--seed S] [--batch N] [--validate]
 //
 // --batch N > 1 routes every operation through the batched API (DESIGN.md
 // §3.7): each drawn op type issues N keys through one DescentCursor.
@@ -27,8 +27,8 @@ namespace {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--bits B] [--threads N] [--ops N] [--prefill N]\n"
-               "          [--space N] [--mix M] [--dist D] [--mode dcss|cas]\n"
-               "          [--seed S] [--batch N] [--validate]\n",
+               "          [--space N] [--mix M] [--dist D] [--seed S]\n"
+               "          [--batch N] [--validate]\n",
                argv0);
   std::exit(2);
 }
@@ -88,11 +88,6 @@ int main(int argc, char** argv) {
       else if (d == "clustered") wc.dist = KeyDist::kClustered;
       else if (d == "sequential") wc.dist = KeyDist::kSequential;
       else usage(argv[0]);
-    } else if (a == "--mode") {
-      const std::string m = next();
-      if (m == "dcss") cfg.dcss_mode = DcssMode::kDcss;
-      else if (m == "cas") cfg.dcss_mode = DcssMode::kCasFallback;
-      else usage(argv[0]);
     } else if (a == "--validate") {
       validate = true;
     } else {
@@ -105,10 +100,8 @@ int main(int argc, char** argv) {
 
   SkipTrie t(cfg);
   const WorkloadResult r = run_workload(t, wc);
-  std::printf("B=%u threads=%u mode=%s dist=%s batch=%u\n",
-              cfg.universe_bits, wc.threads,
-              cfg.dcss_mode == DcssMode::kDcss ? "dcss" : "cas",
-              key_dist_name(wc.dist), wc.batch_size);
+  std::printf("B=%u threads=%u dist=%s batch=%u\n", cfg.universe_bits,
+              wc.threads, key_dist_name(wc.dist), wc.batch_size);
   std::printf("%s\n", r.summary().c_str());
   std::printf("final size=%zu trie_entries=%zu\n", t.size(),
               t.trie().entry_count());

@@ -48,7 +48,7 @@ inline void row_sep(int width = 100) {
 // Key-generator space covering the whole B-bit universe: every key up to
 // the largest usable one (B=64 reserves two sentinels).
 inline uint64_t bench_key_space(uint32_t bits) {
-  const uint64_t mask = universe_mask(bits);
+  const uint64_t mask = U64Traits::universe_mask(bits);
   return (bits >= 64 ? mask - 2 : mask) + 1;
 }
 

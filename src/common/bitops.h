@@ -13,14 +13,16 @@
 // Trie prefixes always have L <= B-1 <= W-1, so the encoding never
 // overflows the ikey word.
 //
-// The uint64_t functions are the seed fast path and are kept byte-for-byte
-// as they were; the `ikey_*` function templates generalize the same
-// arithmetic to any unsigned ikey word (uint64_t, unsigned __int128, or the
-// portable Uint128 fallback below) for KeyTraits instantiations at W > 64.
+// The `ikey_*` function templates are the one copy of this arithmetic, for
+// either ikey word: uint64_t (U64Traits) or u128 (Bytes16Traits).
 #pragma once
 
 #include <cassert>
 #include <cstdint>
+
+#if !defined(__SIZEOF_INT128__)
+#error "SkipTrie needs unsigned __int128: GCC or Clang on a 64-bit target"
+#endif
 
 namespace skiptrie {
 
@@ -35,194 +37,36 @@ inline constexpr uint32_t ceil_log2(uint64_t v) {
   return r;
 }
 
-// The i-th bit of `key` counting from the MSB of a B-bit universe.
-inline uint64_t key_bit(uint64_t key, uint32_t i, uint32_t bits) {
-  assert(i < bits);
-  return (key >> (bits - 1 - i)) & 1ull;
-}
-
-// Encode the length-`len` prefix of `key` (see file comment).
-inline uint64_t encode_prefix(uint64_t key, uint32_t len, uint32_t bits) {
-  assert(len <= 63 && len < bits);
-  if (len == 0) return 1ull;  // the root prefix (epsilon)
-  return (1ull << len) | (key >> (bits - len));
-}
-
-// True iff the length-`len` prefix of `key` equals the prefix encoded by
-// `encoded` (which must have been produced by encode_prefix with length len).
-inline bool prefix_matches(uint64_t encoded, uint64_t key, uint32_t len,
-                           uint32_t bits) {
-  return encode_prefix(key, len, bits) == encoded;
-}
-
-// Length of the longest common prefix of x and y within a B-bit universe.
-inline uint32_t lcp_length(uint64_t x, uint64_t y, uint32_t bits) {
-  uint64_t diff = x ^ y;
-  if (bits < 64) diff &= (1ull << bits) - 1;
-  if (diff == 0) return bits;
-  uint32_t highest = 63u - static_cast<uint32_t>(__builtin_clzll(diff));
-  return bits - 1 - highest;
-}
-
-// Unsigned absolute difference, used by LowestAncestor's "best candidate"
-// rule (paper Alg. 3 line 12).
-inline uint64_t abs_diff(uint64_t a, uint64_t b) { return a > b ? a - b : b - a; }
-
-// Mask of the low `bits` bits (bits == 64 -> all ones).
-inline constexpr uint64_t universe_mask(uint32_t bits) {
-  return bits >= 64 ? ~0ull : ((1ull << bits) - 1);
-}
-
 // ---------------------------------------------------------------------------
-// 128-bit ikey support (DESIGN.md §6).
-//
-// `u128` is the 128-bit ikey word: `unsigned __int128` where the compiler
-// provides it, else the portable `Uint128` struct below.  Uint128 is always
-// compiled (and unit-tested) so the fallback cannot rot on __int128 hosts.
+// 128-bit ikey support (DESIGN.md §6): `u128` is `unsigned __int128`.
 // ---------------------------------------------------------------------------
 
-// Portable 128-bit unsigned integer: exactly the operator set the engine
-// needs on an ikey word (compare, add/sub, shift, bitwise, one division in
-// DescentCursor::top_entry_usable).  Shift counts must be < 128.
-struct Uint128 {
-  uint64_t hi = 0;
-  uint64_t lo = 0;
-
-  constexpr Uint128() = default;
-  constexpr Uint128(uint64_t v) : hi(0), lo(v) {}  // NOLINT: int-literal lift
-  constexpr Uint128(uint64_t h, uint64_t l) : hi(h), lo(l) {}
-
-  explicit constexpr operator uint64_t() const { return lo; }
-  explicit constexpr operator uint32_t() const {
-    return static_cast<uint32_t>(lo);
-  }
-  explicit constexpr operator bool() const { return (hi | lo) != 0; }
-
-  friend constexpr bool operator==(Uint128 a, Uint128 b) {
-    return a.hi == b.hi && a.lo == b.lo;
-  }
-  friend constexpr bool operator!=(Uint128 a, Uint128 b) { return !(a == b); }
-  friend constexpr bool operator<(Uint128 a, Uint128 b) {
-    return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
-  }
-  friend constexpr bool operator>(Uint128 a, Uint128 b) { return b < a; }
-  friend constexpr bool operator<=(Uint128 a, Uint128 b) { return !(b < a); }
-  friend constexpr bool operator>=(Uint128 a, Uint128 b) { return !(a < b); }
-
-  friend constexpr Uint128 operator~(Uint128 a) { return {~a.hi, ~a.lo}; }
-  friend constexpr Uint128 operator&(Uint128 a, Uint128 b) {
-    return {a.hi & b.hi, a.lo & b.lo};
-  }
-  friend constexpr Uint128 operator|(Uint128 a, Uint128 b) {
-    return {a.hi | b.hi, a.lo | b.lo};
-  }
-  friend constexpr Uint128 operator^(Uint128 a, Uint128 b) {
-    return {a.hi ^ b.hi, a.lo ^ b.lo};
-  }
-
-  friend constexpr Uint128 operator+(Uint128 a, Uint128 b) {
-    const uint64_t lo = a.lo + b.lo;
-    return {a.hi + b.hi + (lo < a.lo ? 1u : 0u), lo};
-  }
-  friend constexpr Uint128 operator-(Uint128 a, Uint128 b) {
-    return {a.hi - b.hi - (a.lo < b.lo ? 1u : 0u), a.lo - b.lo};
-  }
-
-  friend constexpr Uint128 operator<<(Uint128 a, uint32_t n) {
-    if (n == 0) return a;
-    if (n >= 64) return {a.lo << (n - 64), 0};
-    return {(a.hi << n) | (a.lo >> (64 - n)), a.lo << n};
-  }
-  friend constexpr Uint128 operator>>(Uint128 a, uint32_t n) {
-    if (n == 0) return a;
-    if (n >= 64) return {0, a.hi >> (n - 64)};
-    return {a.hi >> n, (a.hi << (64 - n)) | (a.lo >> n)};
-  }
-
-  // Schoolbook shift-subtract division; b must be nonzero.  Used once per
-  // cursor top-entry gate, never on a hot search path, so O(128) is fine.
-  friend constexpr Uint128 operator/(Uint128 a, Uint128 b) {
-    Uint128 q{0, 0}, r{0, 0};
-    for (int i = 127; i >= 0; --i) {
-      r = r << 1;
-      if (static_cast<uint64_t>((a >> static_cast<uint32_t>(i)).lo) & 1ull) {
-        r.lo |= 1ull;
-      }
-      if (r >= b) {
-        r = r - b;
-        if (i >= 64) {
-          q.hi |= 1ull << (i - 64);
-        } else {
-          q.lo |= 1ull << i;
-        }
-      }
-    }
-    return q;
-  }
-};
-
-#if defined(__SIZEOF_INT128__)
-#define SKIPTRIE_HAS_INT128 1
 using u128 = unsigned __int128;
-#else
-#define SKIPTRIE_HAS_INT128 0
-using u128 = Uint128;
-#endif
 
-// hi/lo/make accessors that work for both u128 representations (and are the
-// only place the representation difference is visible).
-inline constexpr uint64_t u128_hi(Uint128 v) { return v.hi; }
-inline constexpr uint64_t u128_lo(Uint128 v) { return v.lo; }
-inline constexpr Uint128 make_uint128(uint64_t hi, uint64_t lo) {
-  return Uint128{hi, lo};
-}
-#if SKIPTRIE_HAS_INT128
 inline constexpr uint64_t u128_hi(u128 v) {
   return static_cast<uint64_t>(v >> 64);
 }
 inline constexpr uint64_t u128_lo(u128 v) { return static_cast<uint64_t>(v); }
-#endif
 inline constexpr u128 make_u128(uint64_t hi, uint64_t lo) {
-#if SKIPTRIE_HAS_INT128
   return (static_cast<u128>(hi) << 64) | lo;
-#else
-  return Uint128{hi, lo};
-#endif
 }
-
-// Count of leading zeros of a nonzero 128-bit value.
-inline uint32_t clz128(Uint128 x) {
-  assert(x.hi != 0 || x.lo != 0);
-  return x.hi != 0 ? static_cast<uint32_t>(__builtin_clzll(x.hi))
-                   : 64u + static_cast<uint32_t>(__builtin_clzll(x.lo));
-}
-#if SKIPTRIE_HAS_INT128
-inline uint32_t clz128(u128 x) {
-  const uint64_t hi = u128_hi(x);
-  return hi != 0 ? static_cast<uint32_t>(__builtin_clzll(hi))
-                 : 64u + static_cast<uint32_t>(__builtin_clzll(u128_lo(x)));
-}
-#endif
-
-// Index of the most significant set bit (0 = least significant); x nonzero.
-inline uint32_t msb128(u128 x) { return 127u - clz128(x); }
 
 // ---------------------------------------------------------------------------
 // Width-generic ikey arithmetic.  `I` is uint64_t or u128; ikey_width<I>
-// derives the word width from the type.  The uint64_t specializations
-// compile to exactly the scalar functions above.
+// derives the word width from the type.
 // ---------------------------------------------------------------------------
 
 template <typename I>
 inline constexpr uint32_t ikey_width = static_cast<uint32_t>(sizeof(I) * 8);
 
+// Count of leading zeros of a nonzero ikey word.
 inline uint32_t ikey_clz(uint64_t x) {
   return static_cast<uint32_t>(__builtin_clzll(x));
 }
-inline uint32_t ikey_clz(Uint128 x) { return clz128(x); }
-#if SKIPTRIE_HAS_INT128
-inline uint32_t ikey_clz(u128 x) { return clz128(x); }
-#endif
+inline uint32_t ikey_clz(u128 x) {
+  const uint64_t hi = u128_hi(x);
+  return hi != 0 ? ikey_clz(hi) : 64u + ikey_clz(u128_lo(x));
+}
 
 template <typename I>
 inline constexpr I ikey_all_ones() {
@@ -244,6 +88,9 @@ inline I ikey_encode_prefix(I key, uint32_t len, uint32_t bits) {
   return (I(1) << len) | (key >> (bits - len));
 }
 
+// True iff the length-`len` prefix of `key` equals the prefix encoded by
+// `encoded` (which must have been produced by ikey_encode_prefix with
+// length len).
 template <typename I>
 inline bool ikey_prefix_matches(I encoded, I key, uint32_t len,
                                 uint32_t bits) {
@@ -260,11 +107,14 @@ inline uint32_t ikey_lcp_length(I x, I y, uint32_t bits) {
   return bits - 1 - highest;
 }
 
+// Unsigned absolute difference, used by LowestAncestor's "best candidate"
+// rule (paper Alg. 3 line 12).
 template <typename I>
 inline I ikey_abs_diff(I a, I b) {
   return a > b ? a - b : b - a;
 }
 
+// Mask of the low `bits` bits (bits == W -> all ones).
 template <typename I>
 inline constexpr I ikey_universe_mask(uint32_t bits) {
   return bits >= ikey_width<I> ? ikey_all_ones<I>()

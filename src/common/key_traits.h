@@ -6,10 +6,9 @@
 // width W, and the bit/prefix/mix arithmetic on it.  Two instantiations
 // ship:
 //
-//   U64Traits     W = 64.  The seed behavior, byte for byte: every static
-//                 delegates to the scalar uint64_t helpers the code used
-//                 before the refactor, so per-op step counts are pinned
-//                 (tests/step_pinning_test.cpp) against the pre-traits tree.
+//   U64Traits     W = 64.  The seed behavior, byte for byte: per-op step
+//                 counts are pinned (tests/step_pinning_test.cpp) against
+//                 the pre-traits tree.
 //
 //   Bytes16Traits W = 128.  Keys are 128-bit ikeys produced by the
 //                 order-preserving codecs in common/key_codec.h (bounded
@@ -50,35 +49,36 @@ concept KeyTraits = requires(typename T::key_type k, typename T::ikey_type ik,
   { T::to_double(ik) } -> std::same_as<double>;
 };
 
-// W = 64: the original uint64_t universe.  Every member forwards to the
-// scalar helpers in bitops.h so codegen on this path is identical to the
-// pre-traits tree.
-struct U64Traits {
+// The bit arithmetic both shipped traits share: the ikey_* templates of
+// bitops.h on the traits' ikey word.
+template <typename I>
+struct IkeyBitOps {
+  using ikey_type = I;
+  static constexpr I ikey_max() { return ikey_all_ones<I>(); }
+  static uint64_t bit(I k, uint32_t i, uint32_t bits) {
+    return ikey_bit(k, i, bits);
+  }
+  static I encode_prefix(I k, uint32_t len, uint32_t bits) {
+    return ikey_encode_prefix(k, len, bits);
+  }
+  static bool prefix_matches(I encoded, I k, uint32_t len, uint32_t bits) {
+    return ikey_prefix_matches(encoded, k, len, bits);
+  }
+  static uint32_t common_prefix_len(I a, I b, uint32_t bits) {
+    return ikey_lcp_length(a, b, bits);
+  }
+  static I abs_diff(I a, I b) { return ikey_abs_diff(a, b); }
+  static constexpr I universe_mask(uint32_t bits) {
+    return ikey_universe_mask<I>(bits);
+  }
+};
+
+// W = 64: the original uint64_t universe.
+struct U64Traits : IkeyBitOps<uint64_t> {
   using key_type = uint64_t;
-  using ikey_type = uint64_t;
   static constexpr uint32_t kMaxBits = 64;
   static constexpr const char* kKeyKind = "u64";
 
-  static constexpr ikey_type ikey_max() { return UINT64_MAX; }
-  static uint64_t bit(ikey_type k, uint32_t i, uint32_t bits) {
-    return key_bit(k, i, bits);
-  }
-  static ikey_type encode_prefix(ikey_type k, uint32_t len, uint32_t bits) {
-    return skiptrie::encode_prefix(k, len, bits);
-  }
-  static bool prefix_matches(ikey_type encoded, ikey_type k, uint32_t len,
-                             uint32_t bits) {
-    return skiptrie::prefix_matches(encoded, k, len, bits);
-  }
-  static uint32_t common_prefix_len(ikey_type a, ikey_type b, uint32_t bits) {
-    return lcp_length(a, b, bits);
-  }
-  static ikey_type abs_diff(ikey_type a, ikey_type b) {
-    return skiptrie::abs_diff(a, b);
-  }
-  static constexpr ikey_type universe_mask(uint32_t bits) {
-    return skiptrie::universe_mask(bits);
-  }
   // Split-ordered bucket hash (DESIGN.md §3.4) and tower-height stream
   // (§3.2): both exactly the seed's mix64.
   static uint64_t hash_mix(ikey_type x) { return mix64(x); }
@@ -89,32 +89,11 @@ struct U64Traits {
 // W = 128: byte-string / IPv6 keys pre-encoded into u128 ikeys by
 // common/key_codec.h.  key_type is the encoded word itself — the codec is a
 // boundary concern (examples, benches), not an engine concern.
-struct Bytes16Traits {
+struct Bytes16Traits : IkeyBitOps<u128> {
   using key_type = u128;
-  using ikey_type = u128;
   static constexpr uint32_t kMaxBits = 128;
   static constexpr const char* kKeyKind = "bytes16";
 
-  static constexpr ikey_type ikey_max() { return ikey_all_ones<u128>(); }
-  static uint64_t bit(ikey_type k, uint32_t i, uint32_t bits) {
-    return ikey_bit(k, i, bits);
-  }
-  static ikey_type encode_prefix(ikey_type k, uint32_t len, uint32_t bits) {
-    return ikey_encode_prefix(k, len, bits);
-  }
-  static bool prefix_matches(ikey_type encoded, ikey_type k, uint32_t len,
-                             uint32_t bits) {
-    return ikey_prefix_matches(encoded, k, len, bits);
-  }
-  static uint32_t common_prefix_len(ikey_type a, ikey_type b, uint32_t bits) {
-    return ikey_lcp_length(a, b, bits);
-  }
-  static ikey_type abs_diff(ikey_type a, ikey_type b) {
-    return ikey_abs_diff(a, b);
-  }
-  static constexpr ikey_type universe_mask(uint32_t bits) {
-    return ikey_universe_mask<u128>(bits);
-  }
   // Fold both halves through mix64 so every ikey bit reaches every hash /
   // height bit (a lo-only mix would collide all keys sharing low words).
   static uint64_t hash_mix(ikey_type x) {

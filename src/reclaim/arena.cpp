@@ -4,19 +4,14 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 
 namespace skiptrie {
 
-SlabArena::ThreadCache::~ThreadCache() {
+void SlabArena::ThreadCache::thread_exit() {
   // Return everything to the global list so other threads can reuse it.
-  // arena may have been detached (set to nullptr) by ~SlabArena if the
-  // arena died before this thread.
-  if (arena == nullptr) return;
   std::lock_guard<std::mutex> lk(arena->mu_);
   for (void* p : free_blocks) arena->global_free_.push_back(p);
   free_blocks.clear();
-  std::erase(arena->registered_, this);
 }
 
 SlabArena::SlabArena(size_t block_size, size_t align, size_t blocks_per_slab)
@@ -27,30 +22,9 @@ SlabArena::SlabArena(size_t block_size, size_t align, size_t blocks_per_slab)
 }
 
 SlabArena::~SlabArena() {
-  std::lock_guard<std::mutex> lk(mu_);
-  // Detach surviving thread caches so their destructors don't touch us.
-  for (ThreadCache* c : registered_) {
-    c->arena = nullptr;
-    c->free_blocks.clear();
-  }
-  registered_.clear();
+  // Surviving caches name blocks of the slabs freed below.
+  caches_.close([](ThreadCache& c) { c.free_blocks.clear(); });
   for (char* s : slabs_) std::free(s);
-  slabs_.clear();
-}
-
-SlabArena::ThreadCache& SlabArena::cache() {
-  thread_local std::vector<std::unique_ptr<ThreadCache>> tls;
-  for (auto& c : tls) {
-    if (c->arena == this) return *c;
-  }
-  tls.push_back(std::make_unique<ThreadCache>());
-  ThreadCache* c = tls.back().get();
-  c->arena = this;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    registered_.push_back(c);
-  }
-  return *c;
 }
 
 void* SlabArena::allocate(bool* fresh) {

@@ -9,11 +9,13 @@
 // two more arenas, as plain pools: EBR already keeps every reader of those
 // off a block until it is recycled (DESIGN.md §3.2).
 //
-// Allocation fast path: pop from a thread-local cache (no synchronization).
-// Slow path: grab a batch from the global spill list (spinlock) or bump-
-// allocate a new slab.  recycle() pushes to the thread-local cache and
-// spills batches when the cache overflows, so cross-thread free/alloc
-// imbalance is bounded.
+// Allocation fast path: pop from the calling thread's cache, its PerThread
+// state for the arena (common/per_thread.h, DESIGN.md §3.8; no
+// synchronization).  Slow path: grab a batch from the global spill list
+// (mutex) or bump-allocate a new slab.  recycle() pushes to the thread's
+// cache and spills batches when the cache overflows, so cross-thread
+// free/alloc imbalance is bounded.  A thread's exit returns its cache to
+// the global list.
 #pragma once
 
 #include <atomic>
@@ -21,6 +23,8 @@
 #include <cstdint>
 #include <mutex>
 #include <vector>
+
+#include "common/per_thread.h"
 
 namespace skiptrie {
 
@@ -63,16 +67,19 @@ class SlabArena {
            recycled_.load(std::memory_order_relaxed);
   }
 
- private:
+  // One thread's free blocks (public for PerThread's test hook).
   struct ThreadCache {
-    SlabArena* arena = nullptr;  // nulled if the arena dies first
+    explicit ThreadCache(SlabArena* a) : arena(a) {}
+    void thread_exit();  // returns the blocks to the global list
+    SlabArena* arena;
     std::vector<void*> free_blocks;
-    ~ThreadCache();
   };
+
+ private:
   static constexpr size_t kCacheHigh = 128;  // spill half above this
   static constexpr size_t kBatch = 32;       // refill batch from global
 
-  ThreadCache& cache();
+  ThreadCache& cache() { return caches_.local(this); }
   void* slow_allocate(ThreadCache& c, bool* fresh);
   void spill(ThreadCache& c);
 
@@ -80,16 +87,17 @@ class SlabArena {
   const size_t align_;
   const size_t blocks_per_slab_;
 
-  std::mutex mu_;                  // guards slabs_, global_free_, registered_
+  std::mutex mu_;                  // guards slabs_, bump_, global_free_
   std::vector<char*> slabs_;       // owned slab storage
   char* bump_ = nullptr;           // next unallocated byte in current slab
   char* bump_end_ = nullptr;
   std::vector<void*> global_free_;
-  std::vector<ThreadCache*> registered_;
 
   std::atomic<size_t> bytes_reserved_{0};
   std::atomic<int64_t> allocated_{0};
   std::atomic<int64_t> recycled_{0};
+
+  PerThread<ThreadCache> caches_;
 };
 
 }  // namespace skiptrie

@@ -13,19 +13,20 @@
 // DESIGN.md §3.3) so that even those dereferences stay memory-safe.
 //
 // Threads register implicitly on first use of a domain and may use any
-// number of domains; per-domain thread state is found via a small
-// thread-local registry.  Slot scanning is O(max registered threads).  A
-// domain holds at most kMaxThreads live threads at once; registering one
-// more aborts with a message (a thread's slot is freed when it exits).
+// number of domains; each thread's slot and retired list is its
+// PerThread state for the domain (common/per_thread.h, DESIGN.md §3.8).
+// Slot scanning is O(max registered threads).  A domain holds at most
+// kMaxThreads live threads at once; registering one more aborts with a
+// message (a thread's slot is freed when it exits).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <vector>
 
 #include "common/cacheline.h"
+#include "common/per_thread.h"
 
 namespace skiptrie {
 
@@ -41,11 +42,18 @@ struct Retired {
 };
 
 struct EbrThreadState {
-  EbrDomain* domain = nullptr;  // nulled if the domain dies first
+  explicit EbrThreadState(EbrDomain& d);  // takes a slot
+  // Hands the pending retirements to the domain's orphans and frees the
+  // slot (PerThread runs it at the thread's exit while the domain lives).
+  void thread_exit();
+  // Publishes retired.size() for pending_retired().
+  void publish() { pending.store(retired.size(), std::memory_order_relaxed); }
+
+  EbrDomain* domain;
   uint32_t slot = 0;
   uint32_t pin_depth = 0;
   std::vector<Retired> retired;
-  ~EbrThreadState();
+  std::atomic<size_t> pending{0};
 };
 
 }  // namespace detail
@@ -65,7 +73,9 @@ class EbrDomain {
   // RAII pinned region; reentrant (nested guards share the outer pin).
   class Guard {
    public:
-    explicit Guard(EbrDomain& d) : state_(d.thread_state()) { d.pin(state_); }
+    explicit Guard(EbrDomain& d) : state_(&d.states_.local(d)) {
+      d.pin(state_);
+    }
     ~Guard() { state_->domain->unpin(state_); }
     Guard(const Guard&) = delete;
     Guard& operator=(const Guard&) = delete;
@@ -85,25 +95,26 @@ class EbrDomain {
         ptr, [](void* p, void*) { delete static_cast<T*>(p); }, nullptr);
   }
 
-  // Reclaim everything that is safe to reclaim right now (test/bench hook;
-  // also used by destructors).  Not thread-safe against concurrent pins.
+  // Reclaim everything that is safe to reclaim right now from the calling
+  // thread's list and the orphans (test/bench hook).  Registers nothing.
+  // Not thread-safe against concurrent pins.
   void drain();
 
   uint64_t global_epoch() const {
     return global_epoch_.load(std::memory_order_acquire);
   }
-  // Approximate count of callbacks still awaiting their grace period.
+  // Approximate count of callbacks still awaiting their grace period: the
+  // orphans of exited threads plus every live thread's retired list.
   size_t pending_retired() const;
 
  private:
   friend struct detail::EbrThreadState;
 
-  detail::EbrThreadState* thread_state();
   void pin(detail::EbrThreadState* ts);
   void unpin(detail::EbrThreadState* ts);
   void try_advance_and_reclaim(detail::EbrThreadState* ts);
   bool all_quiescent_at(uint64_t epoch) const;
-  void release_slot(detail::EbrThreadState* ts);
+  void reclaim_orphans(uint64_t now);
 
   std::atomic<uint64_t> global_epoch_{1};
   // Slot value: 0 when unpinned, otherwise (epoch << 1) | 1.
@@ -111,11 +122,12 @@ class EbrDomain {
   std::atomic<uint32_t> slot_watermark_{0};  // highest slot index ever used +1
   std::mutex slot_mu_;
   std::vector<uint32_t> free_slots_;
-  std::vector<detail::EbrThreadState*> registered_;
 
   std::mutex orphan_mu_;
   std::vector<detail::Retired> orphans_;  // from exited threads
   std::atomic<size_t> orphan_count_{0};
+
+  PerThread<detail::EbrThreadState> states_;
 };
 
 }  // namespace skiptrie

@@ -1,10 +1,6 @@
 #include "skiplist/cursor.h"
 
-#include <atomic>
 #include <cstddef>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 #include "common/stats.h"
 #include "dcss/dcss.h"
@@ -111,115 +107,7 @@ void BasicDescentCursor<Traits>::note_erase(Ikey x) {
   }
 }
 
-// --- Owner ids and the dead-owner journal ------------------------------------
-//
-// Owner ids are never reused, so the registry below keys slots by owner and
-// hands out stable objects.  To keep a thread's registry from growing with
-// every engine it has *ever* touched (bench_suite's main thread prefills
-// hundreds of short-lived structures), a destroyed engine appends its owner
-// id here and each registry drops the matching slot lazily on its next
-// lookup.  The journal itself is append-only (8 bytes per engine ever
-// destroyed) and each thread only scans the suffix it has not yet seen.  One
-// journal serves the registries of every traits instantiation (owner ids
-// are global).
-
-namespace {
-
-std::mutex dead_owner_mu;
-std::vector<uint64_t> dead_owner_journal;
-std::atomic<uint64_t> dead_owner_ver{0};
-
-// Per-thread cursor registry: one stable slot per live engine the thread
-// has touched (DESIGN.md §3.8).  No eviction while the owner lives, so a
-// cursor reference stays bound to its engine however many other engines
-// the thread visits.  Lookups scan linearly with move-toward-front
-// promotion, so the repeated-owner path stays O(1).
-template <typename Traits>
-struct CursorSlot {
-  uint64_t owner = 0;
-  std::unique_ptr<BasicDescentCursor<Traits>> cur;
-};
-template <typename Traits>
-struct CursorRegistry {
-  std::vector<CursorSlot<Traits>> slots;
-  uint64_t seen_dead = 0;  // journal position already processed
-};
-
-template <typename Traits>
-CursorRegistry<Traits>& tl_cursor_reg() {
-  thread_local CursorRegistry<Traits> reg;
-  return reg;
-}
-
-template <typename Registry>
-void sweep_dead_owners(Registry& reg) {
-  if (dead_owner_ver.load(std::memory_order_acquire) == reg.seen_dead) return;
-  std::lock_guard<std::mutex> lk(dead_owner_mu);
-  for (size_t j = reg.seen_dead; j < dead_owner_journal.size(); ++j) {
-    for (size_t i = 0; i < reg.slots.size(); ++i) {
-      if (reg.slots[i].owner == dead_owner_journal[j]) {
-        reg.slots.erase(reg.slots.begin() + static_cast<ptrdiff_t>(i));
-        break;
-      }
-    }
-  }
-  reg.seen_dead = dead_owner_journal.size();
-}
-
-}  // namespace
-
-uint64_t new_cursor_owner() {
-  static std::atomic<uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-void release_cursor_owner(uint64_t owner) {
-  std::lock_guard<std::mutex> lk(dead_owner_mu);
-  dead_owner_journal.push_back(owner);
-  dead_owner_ver.store(dead_owner_journal.size(), std::memory_order_release);
-}
-
-template <typename Traits>
-BasicDescentCursor<Traits>& tls_cursor(uint64_t owner,
-                                       BasicSkipListEngine<Traits>& engine) {
-  CursorRegistry<Traits>& reg = tl_cursor_reg<Traits>();
-  sweep_dead_owners(reg);
-  for (size_t i = 0; i < reg.slots.size(); ++i) {
-    if (reg.slots[i].owner == owner) {
-      // Swapping slots moves only the owner word and the unique_ptr; the
-      // cursor objects themselves never move, so held references stay
-      // valid across promotions.
-      if (i > 0) {
-        std::swap(reg.slots[i], reg.slots[i - 1]);
-        --i;
-      }
-      return *reg.slots[i].cur;
-    }
-  }
-  CursorSlot<Traits> s;
-  s.owner = owner;
-  s.cur = std::make_unique<BasicDescentCursor<Traits>>(engine);
-  reg.slots.push_back(std::move(s));
-  return *reg.slots.back().cur;
-}
-
-template <typename Traits>
-size_t tls_cursor_registry_size_of() {
-  CursorRegistry<Traits>& reg = tl_cursor_reg<Traits>();
-  sweep_dead_owners(reg);
-  return reg.slots.size();
-}
-
-size_t tls_cursor_registry_size() {
-  return tls_cursor_registry_size_of<U64Traits>();
-}
-
 template class BasicDescentCursor<U64Traits>;
 template class BasicDescentCursor<Bytes16Traits>;
-template DescentCursor& tls_cursor<U64Traits>(uint64_t, SkipListEngine&);
-template BasicDescentCursor<Bytes16Traits>& tls_cursor<Bytes16Traits>(
-    uint64_t, BasicSkipListEngine<Bytes16Traits>&);
-template size_t tls_cursor_registry_size_of<U64Traits>();
-template size_t tls_cursor_registry_size_of<Bytes16Traits>();
 
 }  // namespace skiptrie

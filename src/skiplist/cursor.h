@@ -26,12 +26,11 @@
 // A DescentCursor is single-threaded state, like a stack variable: it must
 // not be shared between threads, and it holds no resources (no pin, no
 // allocation), so abandoning one at any time is free.  The batch API uses
-// the calling thread's persistent cursor (`tls_cursor`, keyed by a
-// never-reused engine owner id).
+// the calling thread's cursor for the engine, `engine.cursor()`: the
+// engine's PerThread state (common/per_thread.h, DESIGN.md §3.8).
 //
 // Like the engine, the cursor is a template over KeyTraits (DESIGN.md §6) —
-// retained ikeys take the traits' ikey word, and each instantiation keeps
-// its own per-thread registry.
+// retained ikeys take the traits' ikey word.
 #pragma once
 
 #include <cstddef>
@@ -99,33 +98,7 @@ class BasicDescentCursor {
   Ikey right_ikey_[Engine::kMaxLevels + 1];
 };
 
-// The calling thread's persistent cursor for the engine identified by
-// `owner` (see SkipListEngine::cursor()).  The returned reference stays
-// valid — and keeps denoting the same engine's cursor — until that engine
-// is destroyed; fetching cursors for any number of other engines never
-// rebinds it (DESIGN.md §3.8).  Slots of destroyed engines are swept lazily
-// through the dead-owner journal.  One registry per traits instantiation.
-template <typename Traits>
-BasicDescentCursor<Traits>& tls_cursor(uint64_t owner,
-                                       BasicSkipListEngine<Traits>& engine);
-
-// Unique, never-reused owner id — one per engine instance (any traits).
-uint64_t new_cursor_owner();
-
-// Called by the engine's destructor: records `owner` in the dead-owner
-// journal so every thread's cursor registry drops its slot for it on its
-// next lookup (keeping registry growth bounded by the engines actually
-// alive).  Safe from any thread; must not race the owner's own engine
-// still being used.
-void release_cursor_owner(uint64_t owner);
-
-// Test hook: number of live slots in the calling thread's cursor registry
-// for this traits instantiation.
-template <typename Traits>
-size_t tls_cursor_registry_size_of();
-
-// The historical u64 names.
+// The historical u64 name.
 using DescentCursor = BasicDescentCursor<U64Traits>;
-size_t tls_cursor_registry_size();
 
 }  // namespace skiptrie

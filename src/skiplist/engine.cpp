@@ -27,7 +27,7 @@ template <typename Traits>
 BasicSkipListEngine<Traits>::BasicSkipListEngine(EbrDomain& ebr,
                                                  SlabArena& arena,
                                                  uint32_t top_level)
-    : ebr_(ebr), arena_(arena), top_(top_level), owner_(new_cursor_owner()) {
+    : ebr_(ebr), arena_(arena), top_(top_level) {
   assert(top_ >= 1 && top_ <= kMaxLevels);
   assert(arena_.block_size() >= sizeof(Node_t));
   bool fresh = false;
@@ -41,17 +41,14 @@ BasicSkipListEngine<Traits>::BasicSkipListEngine(EbrDomain& ebr,
   }
 }
 
+// Out of line: destroying cursors_ needs the complete cursor type.  The
+// arena owns all node storage.
 template <typename Traits>
-BasicSkipListEngine<Traits>::~BasicSkipListEngine() {
-  // Arena owns all node storage; the only cleanup is publishing this
-  // engine's owner id to the dead-owner journal so every thread's cursor
-  // registry slot for it is reclaimed (DESIGN.md §3.8).
-  release_cursor_owner(owner_);
-}
+BasicSkipListEngine<Traits>::~BasicSkipListEngine() = default;
 
 template <typename Traits>
 auto BasicSkipListEngine<Traits>::cursor() -> Cursor& {
-  return tls_cursor<Traits>(owner_, *this);
+  return cursors_.local(*this);
 }
 
 template <typename Traits>

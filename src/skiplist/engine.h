@@ -30,6 +30,7 @@
 #include <cstdint>
 
 #include "common/key_traits.h"
+#include "common/per_thread.h"
 #include "dcss/dcss.h"
 #include "reclaim/arena.h"
 #include "skiplist/node.h"
@@ -122,8 +123,9 @@ class BasicSkipListEngine {
                              StartFn fallback, void* env);
   EraseResult cursor_erase(Cursor& cur, Ikey x, StartFn fallback, void* env);
 
-  // The calling thread's persistent cursor for this engine (defined in
-  // engine.cpp); the batch API streams each call's keys through it.
+  // The calling thread's cursor for this engine, its PerThread state
+  // (DESIGN.md §3.8): made on first use, stable until the engine dies.  The
+  // batch API streams each call's keys through it.
   Cursor& cursor();
 
   // Kept only for perfbench's per-layer report, which still calls them.
@@ -202,9 +204,9 @@ class BasicSkipListEngine {
   EbrDomain& ebr_;
   SlabArena& arena_;
   const uint32_t top_;
-  const uint64_t owner_;  // cursor-registry key (cursor.h)
   Node_t* head_[kMaxLevels + 1];
   Node_t* tail_;
+  PerThread<Cursor> cursors_;
 };
 
 // The historical u64 fast-path names.

@@ -129,6 +129,36 @@ TEST(Ebr, ExitedThreadsOrphansAreAdopted) {
   EXPECT_EQ(live.load(), 0);
 }
 
+// pending_retired() counts live threads' retired lists, not only exited
+// threads' orphans: read mid-run, before anyone joins or drains.
+TEST(Ebr, PendingRetiredCountsLiveThreadsBacklog) {
+  EbrDomain dom;
+  std::atomic<int> live{0};
+  std::latch pinned(1), retired(1), release(1);
+  std::thread reader([&] {
+    EbrDomain::Guard g(dom);
+    pinned.count_down();
+    release.wait();
+  });
+  pinned.wait();
+  std::thread writer([&] {
+    for (int i = 0; i < 1000; ++i) {
+      EbrDomain::Guard g(dom);
+      dom.retire_delete(new Tracked(live));
+    }
+    retired.count_down();
+    release.wait();
+  });
+  retired.wait();
+  // The pinned reader holds back every grace period the writer's
+  // retirements need.
+  EXPECT_EQ(live.load(), 1000);
+  EXPECT_GE(dom.pending_retired(), 1000u);
+  release.count_down();
+  reader.join();
+  writer.join();
+}
+
 TEST(Ebr, GuardAllowsConcurrentReadersProgress) {
   // Smoke test that pin/unpin from many threads doesn't deadlock or crash.
   EbrDomain dom;

@@ -1,18 +1,15 @@
 // Concurrent stress on the skiplist engine in isolation (below the trie):
 // races between raising inserts, claiming deletes and traversals, at a
-// small truncation height to maximize tower collisions.  Also pins the
-// per-thread cursor registry's one-object-per-live-engine contract.
+// small truncation height to maximize tower collisions.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
 #include "common/spin_barrier.h"
-#include "skiplist/cursor.h"
 #include "skiplist/engine.h"
 
 namespace skiptrie {
@@ -155,64 +152,6 @@ TEST_F(EngineConcurrent, DisjointRangesExactUnderParallelism) {
     });
   }
   for (auto& th : ts) th.join();
-}
-
-// --- Registry aliasing regression (DESIGN.md §3.8) ---------------------------
-//
-// The first cursor registry held a fixed 4 slots per thread and recycled
-// them round-robin, rebinding DescentCursor objects in place, so a thread
-// touching more than 4 engines silently retargeted references an outer
-// frame still held (aliasing).  These tests pin the replacement contract:
-// one stable object per live owner, distinct across owners, swept only when
-// the owner's engine is destroyed.
-
-TEST(RegistryAliasingTest, CursorsStayDistinctAndStableAcrossManyOwners) {
-  SlabArena arena(sizeof(Node), kCacheLine, 1024);
-  EbrDomain ebr;
-  constexpr int kEngines = 8;
-  std::vector<std::unique_ptr<SkipListEngine>> engines;
-  for (int i = 0; i < kEngines; ++i) {
-    engines.push_back(std::make_unique<SkipListEngine>(ebr, arena, 3));
-  }
-  std::thread probe([&] {
-    DescentCursor* cursors[kEngines];
-    for (int i = 0; i < kEngines; ++i) cursors[i] = &engines[i]->cursor();
-    for (int i = 0; i < kEngines; ++i) {
-      for (int j = i + 1; j < kEngines; ++j) {
-        EXPECT_NE(cursors[i], cursors[j]) << i << "," << j;
-      }
-    }
-    // Visiting the engines round-robin, every revisit must return the
-    // engine's own cursor object, not a recycled slot, because an outer
-    // frame may still hold a reference to it.  (No bracket state carries
-    // between visits: batches drop the rows at every pin.)
-    for (int round = 0; round < 3; ++round) {
-      for (int i = kEngines - 1; i >= 0; --i) {
-        EXPECT_EQ(&engines[i]->cursor(), cursors[i]) << i;
-      }
-    }
-  });
-  probe.join();
-}
-
-TEST(RegistryAliasingTest, DeadOwnersAreSweptFromTheRegistry) {
-  std::thread probe([] {
-    const size_t c0 = tls_cursor_registry_size();
-    {
-      SlabArena arena(sizeof(Node), kCacheLine, 2048);
-      EbrDomain ebr;
-      std::vector<std::unique_ptr<SkipListEngine>> engines;
-      for (int i = 0; i < 6; ++i) {
-        engines.push_back(std::make_unique<SkipListEngine>(ebr, arena, 3));
-        engines.back()->cursor();
-      }
-      EXPECT_EQ(tls_cursor_registry_size(), c0 + 6);
-    }
-    // Engine destructors journaled the owners; the next lookup (which the
-    // size hook shares) must have dropped every slot.
-    EXPECT_EQ(tls_cursor_registry_size(), c0);
-  });
-  probe.join();
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ TEST_P(ModelAgreement, RandomOpsMatchStdSet) {
   std::set<uint64_t> ref;
   Xoshiro256 rng(seed);
   const uint64_t space =
-      bits >= 16 ? (1ull << 14) : (universe_mask(bits) + 1);
+      bits >= 16 ? (1ull << 14) : (U64Traits::universe_mask(bits) + 1);
 
   for (int i = 0; i < 8000; ++i) {
     const uint64_t k = rng.next_below(space);
@@ -95,7 +95,8 @@ TEST_P(StructureShape, TopDensityTracksOneOverLogU) {
   const size_t n = 16000;
   size_t inserted = 0;
   while (inserted < n) {
-    if (t.insert(rng.next() & universe_mask(bits) & ~1ull)) inserted++;
+    const uint64_t k = rng.next() & U64Traits::universe_mask(bits) & ~1ull;
+    if (t.insert(k)) inserted++;
   }
   const auto s = t.structure_stats();
   ASSERT_EQ(s.keys, n);
@@ -134,7 +135,7 @@ TEST_P(GapShape, AverageTopGapNearLogU) {
   const size_t n = 20000;
   size_t inserted = 0;
   while (inserted < n) {
-    if (t.insert(rng.next() & universe_mask(bits))) inserted++;
+    if (t.insert(rng.next() & U64Traits::universe_mask(bits))) inserted++;
   }
   const auto s = t.structure_stats();
   // avg gap = keys between consecutive top nodes ~ log u = bits.
@@ -164,7 +165,7 @@ TEST_P(KeyPatterns, InsertEraseHalfValidate) {
   const uint64_t n = 6000;
   std::set<uint64_t> ref;
   for (uint64_t i = 0; i < n; ++i) {
-    const uint64_t k = pc.key_of(i) & universe_mask(32);
+    const uint64_t k = pc.key_of(i) & U64Traits::universe_mask(32);
     ASSERT_EQ(t.insert(k), ref.insert(k).second);
   }
   uint64_t idx = 0;
@@ -204,11 +205,12 @@ TEST(StepComplexity, PredecessorHashProbesAreLogLogU) {
   c.universe_bits = 32;
   SkipTrie t(c);
   Xoshiro256 rng(11);
-  for (int i = 0; i < 30000; ++i) t.insert(rng.next() & universe_mask(32));
+  const uint64_t mask = U64Traits::universe_mask(32);
+  for (int i = 0; i < 30000; ++i) t.insert(rng.next() & mask);
 
   tls_counters() = StepCounters{};
   const int q = 2000;
-  for (int i = 0; i < q; ++i) t.predecessor(rng.next() & universe_mask(32));
+  for (int i = 0; i < q; ++i) t.predecessor(rng.next() & mask);
   const double probes_per_query =
       static_cast<double>(tls_counters().hash_probes) / q;
   // Binary search over prefix lengths: <= ~log2(32) lookups, each a probe

@@ -100,7 +100,7 @@ TEST(Validate, DetectsMissingPrefixCoverage) {
   ASSERT_NE(topnode, nullptr);
   const uint64_t key = topnode->ikey() - 1;
   auto& map = const_cast<SplitOrderedMap&>(t.trie().map());
-  const uint64_t enc = encode_prefix(key, 7, 8);
+  const uint64_t enc = U64Traits::encode_prefix(key, 7, 8);
   const auto found = map.lookup(enc);
   ASSERT_TRUE(found.has_value());
   ASSERT_TRUE(map.compare_and_delete(enc, *found));

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     }
   }
   if (cfg.universe_bits < 4 || cfg.universe_bits > 64) usage(argv[0]);
-  const uint64_t maxk = universe_mask(cfg.universe_bits);
+  const uint64_t maxk = U64Traits::universe_mask(cfg.universe_bits);
   if (wc.key_space == 0 || wc.key_space - 1 > maxk) wc.key_space = maxk;
 
   SkipTrie t(cfg);
